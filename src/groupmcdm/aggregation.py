@@ -25,8 +25,8 @@ import numpy as np
 from .composition import (
     Composition,
     PriorityMatrix,
+    expand_log_ratios,
     inverse_log_ratio,
-    pair_indices,
 )
 from .errors import InsufficientSamples, InputError, WeightDimensionMismatch
 
@@ -110,15 +110,12 @@ def build_average_array(
     dm_weights : array-like, required for "weighted"
         Non-negative unit-sum weights, one per DM.
     """
-    n = W.n_criteria
-    logs = np.log(W.values)
-    # D[k, i, j] = ln(W_ki / W_kj), exactly antisymmetric in (i, j)
-    diffs = logs[:, :, None] - logs[:, None, :]
+    what = W.log_ratios()
     if estimator == MEAN:
-        return diffs.mean(axis=0)
-    if estimator == MEDIAN:
-        return np.median(diffs, axis=0)
-    if estimator == WEIGHTED:
+        v = what.mean(axis=0)
+    elif estimator == MEDIAN:
+        v = np.median(what, axis=0)
+    elif estimator == WEIGHTED:
         if dm_weights is None:
             raise WeightDimensionMismatch("weighted estimator needs dm_weights")
         lam = np.asarray(dm_weights, dtype=float)
@@ -126,8 +123,10 @@ def build_average_array(
             raise WeightDimensionMismatch(
                 f"{lam.size} weights for {W.n_dms} decision-makers"
             )
-        return np.tensordot(lam, diffs, axes=(0, 0))
-    raise InputError(f"unknown estimator {estimator!r}")
+        v = lam @ what
+    else:
+        raise InputError(f"unknown estimator {estimator!r}")
+    return expand_log_ratios(v)
 
 
 def aggregate_gmm(W: PriorityMatrix) -> AggregationResult:
@@ -136,15 +135,8 @@ def aggregate_gmm(W: PriorityMatrix) -> AggregationResult:
     Equal (to within 1e-12) to the normalized column-wise geometric mean of
     the priority matrix.
     """
-    weights = inverse_log_ratio(
-        _pairs_of(build_average_array(W, MEAN)), labels=W.labels
-    )
+    weights = inverse_log_ratio(W.log_ratios().mean(axis=0), labels=W.labels)
     return AggregationResult(weights=weights, method=GMM)
-
-
-def _pairs_of(xi: np.ndarray) -> np.ndarray:
-    i, j = pair_indices(xi.shape[0])
-    return xi[i, j]
 
 
 def aggregate_awgmm(
@@ -190,7 +182,9 @@ def aggregate_awgmm(
             break
         else:
             sq_dist = ((what - wg) ** 2).sum(axis=1)
-            alpha = np.exp(-sq_dist / sigma2)
+            # shifting by the nearest DM leaves lambda unchanged; unshifted,
+            # every alpha underflows to 0 once all distances pass ~745 sigma^2
+            alpha = np.exp(-(sq_dist - sq_dist.min()) / sigma2)
         lam = alpha / alpha.sum()
         wg_new = lam @ what
         sigma2 = float(((what - wg_new) ** 2).sum() / denom)
@@ -201,12 +195,8 @@ def aggregate_awgmm(
             converged = True
             break
 
-    weights = inverse_log_ratio(wg, labels=W.labels)
-    # same readout through the weighted product of rows, cross-checked
-    direct = np.prod(W.values ** lam[:, None], axis=0)
-    assert np.allclose(weights.parts, direct / direct.sum(), atol=1e-10)
     return AggregationResult(
-        weights=weights,
+        weights=inverse_log_ratio(wg, labels=W.labels),
         method=AWGMM,
         dm_weights=lam,
         iterations=iterations,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings as _warnings
 from dataclasses import asdict, dataclass, field
@@ -51,10 +52,12 @@ def load_priorities(path, zero_policy: str = "reject", zero_eps: float = DEFAULT
 
     Returns (matrix, warnings). Rows are re-normalized; a warning is recorded
     for any row whose sum deviates from 1 by more than 1e-6 and for replaced
-    zeros under the ``replace`` policy. Negative weights are always rejected.
+    zeros under the ``replace`` policy. Negative weights, cells that are not
+    finite numbers and repeated header labels are always rejected; a UTF-8
+    byte-order mark is skipped.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = list(csv.reader(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -65,6 +68,9 @@ def load_priorities(path, zero_policy: str = "reject", zero_eps: float = DEFAULT
     labels = tuple(cell.strip() for cell in header)
     if len(labels) < 2:
         raise ParseError("header must name at least two criteria", line=header_line)
+    duplicates = sorted({l for l in labels if labels.count(l) > 1})
+    if duplicates:
+        raise ParseError(f"duplicate criterion labels {duplicates}", line=header_line)
     notes = []
     data = []
     replaced = 0
@@ -78,7 +84,11 @@ def load_priorities(path, zero_policy: str = "reject", zero_eps: float = DEFAULT
             try:
                 value = float(cell)
             except ValueError:
-                raise ParseError(f"not a number: {cell!r}", line=lineno) from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"column {col + 1} is not a finite number: {cell!r}", line=lineno
+                )
             if value == 0.0 and zero_policy == "replace":
                 value = zero_eps
                 replaced += 1
@@ -320,14 +330,12 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _text_matrix(labels, matrix) -> list:
-    width = max(8, max(len(str(l)) for l in labels) + 1)
-    head = " " * width + "".join(f"{l:>{width}}" for l in labels)
-    lines = [head]
-    for label, row in zip(labels, matrix):
-        lines.append(
-            f"{label:<{width}}" + "".join(f"{_fmt(v):>{width}}" for v in row)
-        )
+def _text_table(columns, rows) -> list:
+    """Right-aligned table; ``rows`` holds (row label, formatted cells) pairs."""
+    width = max(8, max(len(str(c)) for c in columns) + 1)
+    lines = [" " * width + "".join(f"{c:>{width}}" for c in columns)]
+    for label, cells in rows:
+        lines.append(f"{label:<{width}}" + "".join(f"{c:>{width}}" for c in cells))
     return lines
 
 
@@ -356,7 +364,8 @@ def _text_body(config, results) -> list:
         labels = results["labels"]
         for name, arrays in results["ad_arrays"].items():
             lines.append(f"AD array ({name}); averages above diagonal, deviations below:")
-            lines.extend(_text_matrix(labels, arrays["combined"]))
+            rows = [(l, map(_fmt, row)) for l, row in zip(labels, arrays["combined"])]
+            lines.extend(_text_table(labels, rows))
     if "orderings" in results:
         lines.append(f"test: {results['test']}")
         for o in results["orderings"]:
@@ -372,23 +381,14 @@ def _text_body(config, results) -> list:
                 continue
             m = results[key]
             lines.append(f"{key} K-means ({m['distance']}), inertia {m['inertia']:.6g}:")
-            lines.extend(_text_matrix_rows(labels, m["centroids"], m["centroid_sums"]))
+            rows = [
+                (f"l{c + 1}", [*map(_fmt, row), f"{s:.4f}"])
+                for c, (row, s) in enumerate(zip(m["centroids"], m["centroid_sums"]))
+            ]
+            lines.extend(_text_table([*labels, "sum"], rows))
             lines.append(
                 "assignments: " + " ".join(str(a) for a in m["assignments"])
             )
-    return lines
-
-
-def _text_matrix_rows(labels, centroids, sums) -> list:
-    width = max(8, max(len(str(l)) for l in labels) + 1)
-    head = " " * width + "".join(f"{l:>{width}}" for l in labels) + f"{'sum':>{width}}"
-    lines = [head]
-    for idx, (row, s) in enumerate(zip(centroids, sums)):
-        lines.append(
-            f"{'l' + str(idx + 1):<{width}}"
-            + "".join(f"{_fmt(v):>{width}}" for v in row)
-            + f"{s:>{width}.4f}"
-        )
     return lines
 
 

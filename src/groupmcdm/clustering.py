@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import Composition, PriorityMatrix, log_ratio_transform
+from .composition import (
+    Composition,
+    PriorityMatrix,
+    _pairwise_log_ratios,
+    log_ratio_transform,
+)
 from .errors import DimensionMismatch, InputError, TooManyClusters
 
 AITCHISON = "aitchison"
@@ -81,13 +86,6 @@ class ClusterModel:
         return self.centroids.sum(axis=1)
 
 
-def _pair_log_ratios(rows: np.ndarray) -> np.ndarray:
-    logs = np.log(rows)
-    n = rows.shape[1]
-    i, j = np.triu_indices(n, k=1)
-    return logs[:, i] - logs[:, j]
-
-
 def _dist_matrix(reprs: np.ndarray, centroid_reprs: np.ndarray, norm: str) -> np.ndarray:
     delta = reprs[:, None, :] - centroid_reprs[None, :, :]
     if norm == "l1":
@@ -119,13 +117,14 @@ def _lloyd(raw, reprs, o, rng, norm, update_fn, repr_fn, max_iter, init_indices=
     elif len(init_indices) != o or not all(0 <= int(k) < K for k in init_indices):
         raise InputError(f"init_indices must be {o} row indices below {K}")
     centroids = raw[list(init_indices)].copy()
-    centroid_reprs = repr_fn(centroids)
+    # one distance matrix per centroid set: it serves both the objective of
+    # the set and the next assignment step
+    dists = _dist_matrix(reprs, repr_fn(centroids), norm)
     assignments = np.full(K, -1)
     reseeds = 0
     trace = []
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        dists = _dist_matrix(reprs, centroid_reprs, norm)
         new_assignments = dists.argmin(axis=1)
         point_dist = dists[np.arange(K), new_assignments]
         # re-seed emptied clusters with the points farthest from their centroid
@@ -145,7 +144,7 @@ def _lloyd(raw, reprs, o, rng, norm, update_fn, repr_fn, max_iter, init_indices=
             reseeds += len(empty)
             warnings.warn(
                 f"re-seeded {len(empty)} empty cluster(s)", EmptyClusterWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
         if (new_assignments == assignments).all():
             break
@@ -153,19 +152,52 @@ def _lloyd(raw, reprs, o, rng, norm, update_fn, repr_fn, max_iter, init_indices=
         centroids = np.array(
             [update_fn(raw[assignments == c]) for c in range(o)]
         )
-        centroid_reprs = repr_fn(centroids)
-        dists = _dist_matrix(reprs, centroid_reprs, norm)
-        best = dists[np.arange(K), assignments]
-        trace.append(float((best**2).sum() if norm == "l2" else best.sum()))
-    dists = _dist_matrix(reprs, centroid_reprs, norm)
-    best = dists[np.arange(K), assignments]
-    inertia = float((best**2).sum() if norm == "l2" else best.sum())
+        dists = _dist_matrix(reprs, repr_fn(centroids), norm)
+        trace.append(_objective(dists, assignments, norm))
+    inertia = _objective(dists, assignments, norm)
     return centroids, assignments, inertia, iterations, tuple(trace), reseeds
+
+
+def _objective(dists: np.ndarray, assignments: np.ndarray, norm: str) -> float:
+    best = dists[np.arange(dists.shape[0]), assignments]
+    return float((best**2).sum() if norm == "l2" else best.sum())
 
 
 def _closed_geometric_mean(rows: np.ndarray) -> np.ndarray:
     g = np.exp(np.log(rows).mean(axis=0))
     return g / g.sum()
+
+
+def _kmeans(W, o, distance, update_fn, repr_fn, seed, max_iter, restarts,
+            init_indices) -> ClusterModel:
+    """Lloyd fits from seeded starts, keeping the lowest-inertia one.
+
+    Restart r draws from SeedSequence(seed, spawn_key=(r,)); ties go to the
+    earliest restart.
+    """
+    if not 1 <= o <= W.n_dms:
+        raise TooManyClusters(f"o={o} with {W.n_dms} decision-makers")
+    norm = "l1" if distance == MADC else "l2"
+    raw = W.values
+    reprs = repr_fn(raw)
+    best = None
+    n_restarts = 1 if init_indices is not None else max(1, restarts)
+    for restart in range(n_restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
+        fit = _lloyd(raw, reprs, o, rng, norm, update_fn, repr_fn, max_iter, init_indices)
+        if best is None or fit[2] < best[2]:
+            best = fit
+    centroids, assignments, inertia, iterations, trace, reseeds = best
+    return ClusterModel(
+        centroids=centroids,
+        assignments=assignments,
+        distance=distance,
+        inertia=inertia,
+        iterations=iterations,
+        seed=seed,
+        inertia_trace=trace,
+        n_reseeds=reseeds,
+    )
 
 
 def kmeans_compositional(
@@ -187,34 +219,9 @@ def kmeans_compositional(
     """
     if distance not in (AITCHISON, MADC):
         raise InputError(f"unknown compositional distance {distance!r}")
-    if not 1 <= o <= W.n_dms:
-        raise TooManyClusters(f"o={o} with {W.n_dms} decision-makers")
-    norm = "l2" if distance == AITCHISON else "l1"
-    raw = W.values
-    reprs = _pair_log_ratios(raw)
-    best = None
-    n_restarts = 1 if init_indices is not None else max(1, restarts)
-    for restart in range(n_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
-        fit = _lloyd(
-            raw, reprs, o, rng, norm,
-            update_fn=_closed_geometric_mean,
-            repr_fn=_pair_log_ratios,
-            max_iter=max_iter,
-            init_indices=init_indices,
-        )
-        if best is None or fit[2] < best[2]:
-            best = fit
-    centroids, assignments, inertia, iterations, trace, reseeds = best
-    return ClusterModel(
-        centroids=centroids,
-        assignments=assignments,
-        distance=distance,
-        inertia=inertia,
-        iterations=iterations,
-        seed=seed,
-        inertia_trace=trace,
-        n_reseeds=reseeds,
+    return _kmeans(
+        W, o, distance, _closed_geometric_mean, _pairwise_log_ratios,
+        seed, max_iter, restarts, init_indices,
     )
 
 
@@ -231,30 +238,7 @@ def kmeans_standard_baseline(
     Centroids are arithmetic means, so nothing constrains them to the
     simplex; reports should flag this model accordingly.
     """
-    if not 1 <= o <= W.n_dms:
-        raise TooManyClusters(f"o={o} with {W.n_dms} decision-makers")
-    raw = W.values
-    best = None
-    n_restarts = 1 if init_indices is not None else max(1, restarts)
-    for restart in range(n_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
-        fit = _lloyd(
-            raw, raw, o, rng, "l2",
-            update_fn=lambda rows: rows.mean(axis=0),
-            repr_fn=lambda c: c,
-            max_iter=max_iter,
-            init_indices=init_indices,
-        )
-        if best is None or fit[2] < best[2]:
-            best = fit
-    centroids, assignments, inertia, iterations, trace, reseeds = best
-    return ClusterModel(
-        centroids=centroids,
-        assignments=assignments,
-        distance=EUCLIDEAN,
-        inertia=inertia,
-        iterations=iterations,
-        seed=seed,
-        inertia_trace=trace,
-        n_reseeds=reseeds,
+    return _kmeans(
+        W, o, EUCLIDEAN, lambda rows: rows.mean(axis=0), lambda c: c,
+        seed, max_iter, restarts, init_indices,
     )

@@ -19,7 +19,7 @@ from .aggregation import (
     aggregate_awgmm,
     build_average_array,
 )
-from .composition import PriorityMatrix
+from .composition import PriorityMatrix, expand_log_ratios, pair_indices
 from .errors import InputError, InsufficientSamples, WeightDimensionMismatch
 
 STD = "std"
@@ -54,25 +54,24 @@ class AverageDeviationArray:
         return np.triu(self.xi, k=1) + np.tril(self.tau, k=-1)
 
 
-def _log_ratio_tensor(W: PriorityMatrix) -> np.ndarray:
-    logs = np.log(W.values)
-    return logs[:, :, None] - logs[:, None, :]
+def _mirrored(tau: np.ndarray) -> np.ndarray:
+    """Symmetric n x n layout of non-negative per-pair spreads."""
+    return np.abs(expand_log_ratios(tau))
 
 
 def deviation_array_std(W: PriorityMatrix) -> DeviationArray:
     """Sample standard deviation (K-1 denominator) of each pairwise log-ratio."""
     if W.n_dms < 2:
         raise InsufficientSamples("standard deviation needs at least two DMs")
-    tau = _log_ratio_tensor(W).std(axis=0, ddof=1)
-    return DeviationArray(tau=tau, estimator=STD)
+    tau = W.log_ratios().std(axis=0, ddof=1)
+    return DeviationArray(tau=_mirrored(tau), estimator=STD)
 
 
 def deviation_array_mad(W: PriorityMatrix) -> DeviationArray:
     """Median absolute deviation about the median, no consistency constant."""
-    diffs = _log_ratio_tensor(W)
-    med = np.median(diffs, axis=0)
-    tau = np.median(np.abs(diffs - med), axis=0)
-    return DeviationArray(tau=tau, estimator=MAD)
+    what = W.log_ratios()
+    tau = np.median(np.abs(what - np.median(what, axis=0)), axis=0)
+    return DeviationArray(tau=_mirrored(tau), estimator=MAD)
 
 
 def deviation_array_robust(W: PriorityMatrix, dm_weights, xi) -> DeviationArray:
@@ -80,7 +79,7 @@ def deviation_array_robust(W: PriorityMatrix, dm_weights, xi) -> DeviationArray:
 
     tau_ij = sqrt(sum_k lambda_k (ln(W_ki/W_kj) - xi_ij)^2), with ``dm_weights``
     the unit-sum weights from the robust aggregation and ``xi`` the matching
-    weighted average array.
+    weighted average array, read above the diagonal.
     """
     lam = np.asarray(dm_weights, dtype=float)
     if lam.shape != (W.n_dms,):
@@ -88,13 +87,13 @@ def deviation_array_robust(W: PriorityMatrix, dm_weights, xi) -> DeviationArray:
             f"{lam.size} weights for {W.n_dms} decision-makers"
         )
     xi = np.asarray(xi, dtype=float)
-    diffs = _log_ratio_tensor(W)
-    if xi.shape != diffs.shape[1:]:
+    n = W.n_criteria
+    if xi.shape != (n, n):
         raise WeightDimensionMismatch(
-            f"average array shape {xi.shape} does not match {diffs.shape[1:]}"
+            f"average array shape {xi.shape} does not match {(n, n)}"
         )
-    var = np.tensordot(lam, (diffs - xi) ** 2, axes=(0, 0))
-    return DeviationArray(tau=np.sqrt(var), estimator=ROBUST)
+    var = lam @ (W.log_ratios() - xi[pair_indices(n)]) ** 2
+    return DeviationArray(tau=_mirrored(np.sqrt(var)), estimator=ROBUST)
 
 
 def average_deviation_array(

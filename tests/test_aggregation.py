@@ -183,6 +183,16 @@ class TestAwgmm:
             assert np.all(lam >= 0)
             assert abs(lam.sum() - 1.0) <= 1e-12
 
+    def test_weights_are_closed_weighted_product_of_rows(self):
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            W = random_matrix(rng, int(rng.integers(2, 15)), int(rng.integers(2, 7)))
+            result = aggregate_awgmm(W)
+            direct = np.prod(W.values ** result.dm_weights[:, None], axis=0)
+            np.testing.assert_allclose(
+                result.weights.parts, direct / direct.sum(), rtol=0, atol=1e-10
+            )
+
     def test_identical_dms_degenerate_case(self):
         W = PriorityMatrix(np.tile(EXAMPLE_W[0], (4, 1)))
         result = aggregate_awgmm(W)

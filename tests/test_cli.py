@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,16 @@ def write_csv(path, text):
     return str(path)
 
 
+# malformed files and the line their ParseError names
+MALFORMED = [
+    ("a,b\nx,0.5\n", 2),
+    ("a,b\n0.5,0.5\n0.5,nan\n", 3),
+    ("a,b\ninf,0.5\n", 2),
+    ("a,b\n0.5,-inf\n", 2),
+    ("a,b,a\n0.2,0.3,0.5\n", 1),
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -26,11 +37,14 @@ def run_cli(capsys, *argv):
 
 
 class TestLoadPriorities:
-    def test_example_file(self, example_csv):
-        W, notes = load_priorities(example_csv)
-        np.testing.assert_allclose(W.values, EXAMPLE_W, atol=1e-15)
-        assert W.labels == ("c1", "c2", "c3", "c4")
-        assert notes == []
+    def test_example_file(self, example_csv, tmp_path):
+        with_bom = tmp_path / "bom.csv"
+        with_bom.write_text(Path(example_csv).read_text(), encoding="utf-8-sig")
+        for path in (example_csv, str(with_bom)):
+            W, notes = load_priorities(path)
+            np.testing.assert_allclose(W.values, EXAMPLE_W, atol=1e-15)
+            assert W.labels == ("c1", "c2", "c3", "c4")
+            assert notes == []
 
     def test_row_not_summing_to_one_is_renormalized(self, tmp_path):
         path = write_csv(tmp_path / "w.csv", "a,b\n0.599,0.4\n0.5,0.5\n")
@@ -63,10 +77,13 @@ class TestLoadPriorities:
         assert exc.value.line == 3
 
     def test_non_numeric_cell(self, tmp_path):
-        path = write_csv(tmp_path / "w.csv", "a,b\nx,0.5\n")
-        with pytest.raises(ParseError) as exc:
-            load_priorities(path)
-        assert exc.value.line == 2
+        for text, line in MALFORMED:
+            path = write_csv(tmp_path / "w.csv", text)
+            with pytest.raises(ParseError) as exc:
+                load_priorities(path)
+            assert exc.value.line == line
+            if line > 1:
+                assert "column" in str(exc.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
@@ -143,6 +160,24 @@ class TestAggregateCommand:
         )
         assert code == 0
         assert "weights:" in out and "c2=0.406" in out
+
+    def test_many_criteria_few_dms(self, tmp_path, capsys):
+        # every Welsch kernel value exp(-d_k / sigma^2) underflows here unless
+        # the distances are shifted by their minimum
+        rng = np.random.default_rng(0)
+        values = rng.dirichlet(np.full(100, 5.0), size=5)
+        lines = [",".join(f"c{i}" for i in range(100))]
+        lines += [",".join(f"{v:.17g}" for v in row) for row in values]
+        path = write_csv(tmp_path / "w.csv", "\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "aggregate", "--input", path, "--method", "awgmm")
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        assert np.all(np.isfinite(results["weights"]["values"]))
+        assert sum(results["dm_weights"]) == pytest.approx(1.0, abs=1e-12)
+        code, out, err = run_cli(capsys, "describe", "--input", path)
+        assert code == 0, err
+        awgmm = json.loads(out)["results"]["ad_arrays"]["awgmm"]
+        assert np.all(np.isfinite(awgmm["xi"])) and np.all(np.isfinite(awgmm["tau"]))
 
     def test_report_round_trips(self, example_csv):
         report = cmd_aggregate(RunConfig(command="aggregate", input=example_csv))
@@ -296,10 +331,11 @@ class TestClusterCommand:
 
 class TestExitCodesAndDeterminism:
     def test_parse_error_exit_code(self, tmp_path, capsys):
-        path = write_csv(tmp_path / "w.csv", "a,b\nnope,0.5\n")
-        code, _, err = run_cli(capsys, "aggregate", "--input", path)
-        assert code == 2
-        assert "error:" in err
+        for text, line in MALFORMED:
+            path = write_csv(tmp_path / "w.csv", text)
+            code, _, err = run_cli(capsys, "aggregate", "--input", path)
+            assert code == 2
+            assert f"error: line {line}:" in err
 
     def test_zero_policy_flag(self, tmp_path, capsys):
         path = write_csv(tmp_path / "w.csv", "a,b\n0,1\n0.4,0.6\n")

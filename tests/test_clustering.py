@@ -196,6 +196,23 @@ class TestKmeansCompositional:
         with pytest.raises(InputError):
             kmeans_compositional(W, 2, distance="euclidean", seed=1)
 
+    def test_one_distance_matrix_per_centroid_set(self, monkeypatch):
+        from groupmcdm import clustering
+
+        calls = []
+        dist_matrix = clustering._dist_matrix
+        monkeypatch.setattr(
+            clustering, "_dist_matrix", lambda *args: calls.append(1) or dist_matrix(*args)
+        )
+        rng = np.random.default_rng(56)
+        W, _, _ = two_blobs(rng, per_blob=30)
+        for fit in (kmeans_compositional, kmeans_standard_baseline):
+            calls.clear()
+            model = fit(W, 3, seed=1, init_indices=(0, 1, 2))
+            assert model.iterations > 2
+            # the initial centroids plus one set per update
+            assert len(calls) == 1 + len(model.inertia_trace)
+
     def test_madc_variant_runs_and_separates_blobs(self):
         rng = np.random.default_rng(53)
         W, truth, _ = two_blobs(rng, per_blob=10)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupmcdm import (
     PriorityMatrix,
@@ -186,3 +188,21 @@ class TestAverageDeviationArray:
         assert average_deviation_array(example_matrix, "mean").estimator == "mean"
         assert deviation_array_std(example_matrix).estimator == "std"
         assert deviation_array_mad(example_matrix).estimator == "mad"
+
+
+class TestCriterionPermutation:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_every_ad_array_permutes_with_the_criteria(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        W = random_matrix(rng, int(rng.integers(3, 10)), n)
+        perm = rng.permutation(n)
+        permuted = PriorityMatrix(W.values[:, perm])
+        rows_cols = np.ix_(perm, perm)
+        for estimator, tol in (("mean", 1e-12), ("median", 1e-12), ("awgmm", 1e-8)):
+            # awgmm's stopping rule sees the permutation only through rounding
+            ad = average_deviation_array(W, estimator)
+            got = average_deviation_array(permuted, estimator)
+            np.testing.assert_allclose(got.xi, ad.xi[rows_cols], rtol=0, atol=tol)
+            np.testing.assert_allclose(got.tau, ad.tau[rows_cols], rtol=0, atol=tol)
