@@ -177,11 +177,15 @@ def _kmeans(W, o, distance, update_fn, repr_fn, seed, max_iter, restarts,
     """
     if not 1 <= o <= W.n_dms:
         raise TooManyClusters(f"o={o} with {W.n_dms} decision-makers")
+    if max_iter < 1:
+        raise InputError("max_iter must be at least 1")
+    if restarts < 1:
+        raise InputError("restarts must be at least 1")
     norm = "l1" if distance == MADC else "l2"
     raw = W.values
     reprs = repr_fn(raw)
     best = None
-    n_restarts = 1 if init_indices is not None else max(1, restarts)
+    n_restarts = 1 if init_indices is not None else restarts
     for restart in range(n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
         fit = _lloyd(raw, reprs, o, rng, norm, update_fn, repr_fn, max_iter, init_indices)

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
-from scipy.stats import rankdata
 
 from .composition import PriorityMatrix
 from .errors import AllZeroRatios, InputError, InsufficientSamples
@@ -61,6 +59,17 @@ class SignedRankSummary:
         return np.abs(self.signed_ranks)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; each run of equal values shares its mean position."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def signed_rank_summary(W: PriorityMatrix, i: int, j: int) -> SignedRankSummary:
     """Rank the per-DM log-ratios of criteria i and j by absolute magnitude.
 
@@ -73,7 +82,7 @@ def signed_rank_summary(W: PriorityMatrix, i: int, j: int) -> SignedRankSummary:
     keep = lr != 0.0
     if not keep.any():
         raise AllZeroRatios(f"criteria {i} and {j} tie for every decision-maker")
-    ranks = rankdata(np.abs(lr[keep]))
+    ranks = _average_ranks(np.abs(lr[keep]))
     signed = np.zeros(W.n_dms)
     signed[keep] = ranks * np.sign(lr[keep])
     r_plus = float(signed[signed > 0].sum())
@@ -185,7 +194,14 @@ def sign_test(
     Beta(prior_a + s, prior_b + f), evaluated with the regularized incomplete
     beta function. With a symmetric prior the two directions of a pair are
     exact complements.
+
+    This is the only function that imports scipy (``scipy.special.betainc``),
+    and only when called, so other commands and library calls load numpy
+    alone.
     """
+    # imported on use: loading it takes longer than a CLI run without it
+    from scipy.special import betainc
+
     if i == j:
         raise InputError("need two distinct criteria")
     if not (prior_a > 0 and prior_b > 0):

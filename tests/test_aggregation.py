@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupmcdm import (
     AwgmmOptions,
@@ -279,3 +281,43 @@ class TestPareto:
             W = random_matrix(rng, int(rng.integers(2, 8)), int(rng.integers(2, 6)))
             for result in (aggregate_gmm(W), aggregate_awgmm(W)):
                 assert all(ok for _, ok in check_pareto(W, result))
+
+
+def closure(values):
+    return values / values.sum(axis=-1, keepdims=True)
+
+
+# seed, number of DMs, number of criteria of a Dirichlet(1) panel
+panels = st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 7))
+
+
+class TestSimplexEquivariance:
+    """Aggregation commutes with the simplex operations (Aitchison geometry)."""
+
+    @given(panels)
+    @settings(max_examples=60, deadline=None)
+    def test_perturbation(self, panel):
+        seed, K, n = panel
+        rng = np.random.default_rng(seed)
+        W = random_matrix(rng, K, n)
+        p = rng.dirichlet(np.ones(n))
+        moved = PriorityMatrix(W.values * p)
+        for agg in (aggregate_gmm, aggregate_awgmm):
+            base, shifted = agg(W), agg(moved)
+            np.testing.assert_allclose(
+                shifted.weights.parts, closure(base.weights.parts * p),
+                rtol=0, atol=1e-10,
+            )
+        # AWGMM's DM weights depend on distances only, which perturbation keeps
+        np.testing.assert_allclose(
+            shifted.dm_weights, base.dm_weights, rtol=0, atol=1e-10
+        )
+
+    @given(panels, st.floats(min_value=-3.0, max_value=3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_gmm_powering(self, panel, a):
+        seed, K, n = panel
+        W = random_matrix(np.random.default_rng(seed), K, n)
+        powered = aggregate_gmm(PriorityMatrix(W.values**a)).weights.parts
+        expected = closure(aggregate_gmm(W).weights.parts ** a)
+        np.testing.assert_allclose(powered, expected, rtol=0, atol=1e-10)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +331,16 @@ class TestClusterCommand:
         )
         assert code == 2
 
+    def test_iteration_and_restart_counts_validated(self, capsys, example_csv):
+        for flag in ("--max-iter", "--restarts"):
+            code, out, err = run_cli(
+                capsys, "cluster", "--input", example_csv, "--clusters", "2",
+                "--seed", "1", flag, "0",
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "must be at least 1" in err
+
 
 class TestExitCodesAndDeterminism:
     def test_parse_error_exit_code(self, tmp_path, capsys):
@@ -369,3 +382,19 @@ class TestExitCodesAndDeterminism:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported only by the sign test; loading it costs more than the
+    # rest of a CLI run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys, groupmcdm, groupmcdm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -196,6 +196,14 @@ class TestKmeansCompositional:
         with pytest.raises(InputError):
             kmeans_compositional(W, 2, distance="euclidean", seed=1)
 
+    def test_iteration_and_restart_validation(self):
+        rng = np.random.default_rng(57)
+        W = random_matrix(rng, 5, 3)
+        for fit in (kmeans_compositional, kmeans_standard_baseline):
+            for bad in ({"max_iter": 0}, {"restarts": 0}, {"restarts": -3}):
+                with pytest.raises(InputError, match="must be at least 1"):
+                    fit(W, 2, seed=1, **bad)
+
     def test_one_distance_matrix_per_centroid_set(self, monkeypatch):
         from groupmcdm import clustering
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupmcdm import (
     PriorityMatrix,
@@ -63,6 +65,21 @@ class TestSignedRankSummary:
         s = signed_rank_summary(W, 0, 2)
         expected = sort_based_ranks(list(np.abs(s.log_ratios)))
         np.testing.assert_allclose(s.ranks, expected)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=30
+        ).filter(lambda rows: any(a != b for a, b in rows))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tied_ranks_match_sort_based_oracle(self, rows):
+        # integer weights repeat the same ratios across DMs, so ties are common
+        W = PriorityMatrix(np.array(rows, dtype=float))
+        s = signed_rank_summary(W, 0, 1)
+        kept = np.flatnonzero(s.log_ratios)
+        expected = np.zeros(W.n_dms)
+        expected[kept] = sort_based_ranks(list(np.abs(s.log_ratios[kept])))
+        np.testing.assert_array_equal(s.ranks, expected)
 
     def test_zero_ratios_dropped(self):
         W = PriorityMatrix(
