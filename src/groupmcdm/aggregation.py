@@ -25,8 +25,10 @@ import numpy as np
 from .composition import (
     Composition,
     PriorityMatrix,
+    clr,
     expand_log_ratios,
     inverse_log_ratio,
+    pair_differences,
 )
 from .errors import InsufficientSamples, InputError, WeightDimensionMismatch
 
@@ -110,11 +112,10 @@ def build_average_array(
     dm_weights : array-like, required for "weighted"
         Non-negative unit-sum weights, one per DM.
     """
-    what = W.log_ratios()
+    if estimator == MEDIAN:
+        return expand_log_ratios(np.median(W.log_ratios(), axis=0))
     if estimator == MEAN:
-        v = what.mean(axis=0)
-    elif estimator == MEDIAN:
-        v = np.median(what, axis=0)
+        g = clr(W.values).mean(axis=0)
     elif estimator == WEIGHTED:
         if dm_weights is None:
             raise WeightDimensionMismatch("weighted estimator needs dm_weights")
@@ -123,10 +124,10 @@ def build_average_array(
             raise WeightDimensionMismatch(
                 f"{lam.size} weights for {W.n_dms} decision-makers"
             )
-        v = lam @ what
+        g = lam @ clr(W.values)
     else:
         raise InputError(f"unknown estimator {estimator!r}")
-    return expand_log_ratios(v)
+    return g[:, None] - g
 
 
 def aggregate_gmm(W: PriorityMatrix) -> AggregationResult:
@@ -135,7 +136,8 @@ def aggregate_gmm(W: PriorityMatrix) -> AggregationResult:
     Equal (to within 1e-12) to the normalized column-wise geometric mean of
     the priority matrix.
     """
-    weights = inverse_log_ratio(W.log_ratios().mean(axis=0), labels=W.labels)
+    g = clr(W.values).mean(axis=0)
+    weights = inverse_log_ratio(pair_differences(g), labels=W.labels)
     return AggregationResult(weights=weights, method=GMM)
 
 
@@ -164,9 +166,10 @@ def aggregate_awgmm(
         raise InsufficientSamples("AWGMM needs at least two decision-makers")
     denom = opts.sigma_denominator if opts.sigma_denominator is not None else n * n
 
-    what = W.log_ratios()
+    # on clr, n * ||x - g||^2 is the squared pairwise log-ratio distance
+    what = clr(W.values)
     wg = what.mean(axis=0)
-    sigma2 = float(((what - wg) ** 2).sum() / denom)
+    sigma2 = float(n * ((what - wg) ** 2).sum() / denom)
     trace = [sigma2]
     lam = np.full(K, 1.0 / K)
     converged = False
@@ -181,22 +184,23 @@ def aggregate_awgmm(
             converged = True
             break
         else:
-            sq_dist = ((what - wg) ** 2).sum(axis=1)
+            sq_dist = n * ((what - wg) ** 2).sum(axis=1)
             # shifting by the nearest DM leaves lambda unchanged; unshifted,
             # every alpha underflows to 0 once all distances pass ~745 sigma^2
             alpha = np.exp(-(sq_dist - sq_dist.min()) / sigma2)
         lam = alpha / alpha.sum()
         wg_new = lam @ what
-        sigma2 = float(((what - wg_new) ** 2).sum() / denom)
+        sigma2 = float(n * ((what - wg_new) ** 2).sum() / denom)
         trace.append(sigma2)
-        delta = float(np.max(np.abs(wg_new - wg)))
+        # the largest change of any pairwise log-ratio
+        delta = float(np.ptp(wg_new - wg))
         wg = wg_new
         if delta < opts.tol:
             converged = True
             break
 
     return AggregationResult(
-        weights=inverse_log_ratio(wg, labels=W.labels),
+        weights=inverse_log_ratio(pair_differences(wg), labels=W.labels),
         method=AWGMM,
         dm_weights=lam,
         iterations=iterations,

@@ -392,16 +392,20 @@ def _text_body(config, results) -> list:
     return lines
 
 
+def _dot_id(label: str) -> str:
+    """A label as a quoted DOT identifier."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _render_dot(results) -> str:
-    labels = results["labels"]
     lines = ["digraph credal {"]
-    for label in labels:
-        lines.append(f'  "{label}";')
+    for label in results["labels"]:
+        lines.append(f"  {_dot_id(label)};")
     for o in results["orderings"]:
-        a, b = o["pair"]
+        a, b = map(_dot_id, o["pair"])
         src, dst = (a, b) if o["p_greater"] >= 0.5 else (b, a)
         style = ", style=dashed" if o["equal_region"] else ""
-        lines.append(f'  "{src}" -> "{dst}" [label="{o["confidence"]:.2f}"{style}];')
+        lines.append(f'  {src} -> {dst} [label="{o["confidence"]:.2f}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -490,6 +494,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, name):
             fields[name] = getattr(args, name)
     config = RunConfig(**fields)
+    for name, value in asdict(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            option = "zero-policy" if name == "zero_eps" else name.replace("_", "-")
+            raise InputError(f"--{option} must be a finite number, got {value}")
+    if not 0.0 <= config.deviant_threshold <= 1.0:
+        raise InputError("--deviant-threshold must lie in [0, 1]")
     if config.seed is not None and config.seed < 0:
         raise InputError("--seed must be non-negative")
     needs_seed = config.command == "cluster" or (

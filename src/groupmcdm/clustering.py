@@ -1,17 +1,18 @@
 """Compositional distances and K-means grouping of decision-makers.
 
 The Euclidean distance on raw priorities ignores their ratio nature; the
-proper distances compare full pairwise log-ratio representations:
+proper distances compare pairwise log-ratio vectors, computed on the n clr
+coordinates with d the clr difference of two compositions:
 
-* ``aitchison_distance``: Euclidean norm of the log-ratio difference.
-* ``madc_distance``: L1 norm of the log-ratio difference.
+* ``aitchison_distance``: L2 norm, sqrt(n * sum_k d_k^2).
+* ``madc_distance``: L1 norm, sum_k (2k - n + 1) d_(k) over sorted d, k from 0.
 
-``kmeans_compositional`` runs Lloyd iterations with a compositional distance
-for assignment and the closed geometric mean as centroid update, so every
-centroid is itself a valid composition. Note the geometric-mean update is the
-exact minimizer only for the Aitchison distance; it is applied literally for
-madc as well. ``kmeans_standard_baseline`` is the classic raw-space variant,
-kept only to demonstrate what goes wrong without the compositional treatment.
+``kmeans_compositional`` runs plain Lloyd on the clr rows with member-mean
+centroids, read back as closed geometric means, so every centroid is a valid
+composition. The mean is the exact minimizer only for the Aitchison distance;
+it is applied literally for madc as well. ``kmeans_standard_baseline`` is the
+same Lloyd on the raw priorities, kept only to show what goes wrong without
+the compositional treatment.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import (
-    Composition,
-    PriorityMatrix,
-    _pairwise_log_ratios,
-    log_ratio_transform,
-)
+from .composition import PriorityMatrix, clr, close
 from .errors import DimensionMismatch, InputError, TooManyClusters
 
 AITCHISON = "aitchison"
@@ -38,24 +34,21 @@ class EmptyClusterWarning(UserWarning):
     """A cluster lost all members and was re-seeded."""
 
 
-def _as_parts(x) -> np.ndarray:
-    return x.parts if isinstance(x, Composition) else np.asarray(x, dtype=float)
+def _distance(w, v, distance: str) -> float:
+    a, b = clr(close(w).parts), clr(close(v).parts)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
+    return float(_dist_matrix(a[None], b[None], distance)[0, 0])
 
 
 def aitchison_distance(w, v) -> float:
     """Euclidean distance between the pairwise log-ratio vectors of w and v."""
-    a, b = _as_parts(w), _as_parts(v)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.linalg.norm(log_ratio_transform(a) - log_ratio_transform(b)))
+    return _distance(w, v, AITCHISON)
 
 
 def madc_distance(w, v) -> float:
     """Sum of absolute pairwise log-ratio differences between w and v."""
-    a, b = _as_parts(w), _as_parts(v)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
-    return float(np.abs(log_ratio_transform(a) - log_ratio_transform(b)).sum())
+    return _distance(w, v, MADC)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,18 +79,21 @@ class ClusterModel:
         return self.centroids.sum(axis=1)
 
 
-def _dist_matrix(reprs: np.ndarray, centroid_reprs: np.ndarray, norm: str) -> np.ndarray:
-    delta = reprs[:, None, :] - centroid_reprs[None, :, :]
-    if norm == "l1":
-        return np.abs(delta).sum(axis=2)
-    return np.sqrt((delta**2).sum(axis=2))
+def _dist_matrix(x: np.ndarray, centroids: np.ndarray, distance: str) -> np.ndarray:
+    """(K, o) distances; compositional ones act on clr rows x and centroids."""
+    d = x[:, None, :] - centroids[None, :, :]
+    n = d.shape[2]
+    if distance == MADC:
+        d.sort(axis=2)  # sum_{i<j} |d_i - d_j| over the sorted differences
+        return d @ (2.0 * np.arange(n) - n + 1)
+    return np.sqrt((n if distance == AITCHISON else 1) * np.einsum("koi,koi->ko", d, d))
 
 
-def _seed_indices(reprs: np.ndarray, o: int, rng, norm: str) -> list[int]:
+def _seed_indices(reprs: np.ndarray, o: int, rng, distance: str) -> list[int]:
     # distance-squared-proportional sampling among the data points
     K = reprs.shape[0]
     chosen = [int(rng.integers(K))]
-    d2 = _dist_matrix(reprs, reprs[chosen], norm)[:, 0] ** 2
+    d2 = _dist_matrix(reprs, reprs[chosen], distance)[:, 0] ** 2
     while len(chosen) < o:
         total = d2.sum()
         if total > 0:
@@ -106,20 +102,20 @@ def _seed_indices(reprs: np.ndarray, o: int, rng, norm: str) -> list[int]:
             remaining = np.setdiff1d(np.arange(K), chosen)
             nxt = int(rng.choice(remaining))
         chosen.append(nxt)
-        d2 = np.minimum(d2, _dist_matrix(reprs, reprs[[nxt]], norm)[:, 0] ** 2)
+        d2 = np.minimum(d2, _dist_matrix(reprs, reprs[[nxt]], distance)[:, 0] ** 2)
     return chosen
 
 
-def _lloyd(raw, reprs, o, rng, norm, update_fn, repr_fn, max_iter, init_indices=None):
-    K = raw.shape[0]
+def _lloyd(reprs, o, rng, distance, max_iter, init_indices=None):
+    K = reprs.shape[0]
     if init_indices is None:
-        init_indices = _seed_indices(reprs, o, rng, norm)
+        init_indices = _seed_indices(reprs, o, rng, distance)
     elif len(init_indices) != o or not all(0 <= int(k) < K for k in init_indices):
         raise InputError(f"init_indices must be {o} row indices below {K}")
-    centroids = raw[list(init_indices)].copy()
+    centroids = reprs[list(init_indices)]
     # one distance matrix per centroid set: it serves both the objective of
     # the set and the next assignment step
-    dists = _dist_matrix(reprs, repr_fn(centroids), norm)
+    dists = _dist_matrix(reprs, centroids, distance)
     assignments = np.full(K, -1)
     reseeds = 0
     trace = []
@@ -149,27 +145,15 @@ def _lloyd(raw, reprs, o, rng, norm, update_fn, repr_fn, max_iter, init_indices=
         if (new_assignments == assignments).all():
             break
         assignments = new_assignments
-        centroids = np.array(
-            [update_fn(raw[assignments == c]) for c in range(o)]
-        )
-        dists = _dist_matrix(reprs, repr_fn(centroids), norm)
-        trace.append(_objective(dists, assignments, norm))
-    inertia = _objective(dists, assignments, norm)
-    return centroids, assignments, inertia, iterations, tuple(trace), reseeds
+        centroids = np.array([reprs[assignments == c].mean(axis=0) for c in range(o)])
+        dists = _dist_matrix(reprs, centroids, distance)
+        best = dists[np.arange(K), assignments]
+        trace.append(float(best.sum() if distance == MADC else (best**2).sum()))
+    # the first pass always moves off the -1 labels, so the trace is never empty
+    return centroids, assignments, trace[-1], iterations, tuple(trace), reseeds
 
 
-def _objective(dists: np.ndarray, assignments: np.ndarray, norm: str) -> float:
-    best = dists[np.arange(dists.shape[0]), assignments]
-    return float((best**2).sum() if norm == "l2" else best.sum())
-
-
-def _closed_geometric_mean(rows: np.ndarray) -> np.ndarray:
-    g = np.exp(np.log(rows).mean(axis=0))
-    return g / g.sum()
-
-
-def _kmeans(W, o, distance, update_fn, repr_fn, seed, max_iter, restarts,
-            init_indices) -> ClusterModel:
+def _kmeans(W, o, distance, seed, max_iter, restarts, init_indices) -> ClusterModel:
     """Lloyd fits from seeded starts, keeping the lowest-inertia one.
 
     Restart r draws from SeedSequence(seed, spawn_key=(r,)); ties go to the
@@ -181,17 +165,19 @@ def _kmeans(W, o, distance, update_fn, repr_fn, seed, max_iter, restarts,
         raise InputError("max_iter must be at least 1")
     if restarts < 1:
         raise InputError("restarts must be at least 1")
-    norm = "l1" if distance == MADC else "l2"
-    raw = W.values
-    reprs = repr_fn(raw)
+    reprs = W.values if distance == EUCLIDEAN else clr(W.values)
     best = None
     n_restarts = 1 if init_indices is not None else restarts
     for restart in range(n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
-        fit = _lloyd(raw, reprs, o, rng, norm, update_fn, repr_fn, max_iter, init_indices)
+        fit = _lloyd(reprs, o, rng, distance, max_iter, init_indices)
         if best is None or fit[2] < best[2]:
             best = fit
     centroids, assignments, inertia, iterations, trace, reseeds = best
+    if distance != EUCLIDEAN:
+        # clr means back to the simplex: the closed geometric means
+        centroids = np.exp(centroids - centroids.max(axis=1, keepdims=True))
+        centroids /= centroids.sum(axis=1, keepdims=True)
     return ClusterModel(
         centroids=centroids,
         assignments=assignments,
@@ -223,10 +209,7 @@ def kmeans_compositional(
     """
     if distance not in (AITCHISON, MADC):
         raise InputError(f"unknown compositional distance {distance!r}")
-    return _kmeans(
-        W, o, distance, _closed_geometric_mean, _pairwise_log_ratios,
-        seed, max_iter, restarts, init_indices,
-    )
+    return _kmeans(W, o, distance, seed, max_iter, restarts, init_indices)
 
 
 def kmeans_standard_baseline(
@@ -242,7 +225,4 @@ def kmeans_standard_baseline(
     Centroids are arithmetic means, so nothing constrains them to the
     simplex; reports should flag this model accordingly.
     """
-    return _kmeans(
-        W, o, EUCLIDEAN, lambda rows: rows.mean(axis=0), lambda c: c,
-        seed, max_iter, restarts, init_indices,
-    )
+    return _kmeans(W, o, EUCLIDEAN, seed, max_iter, restarts, init_indices)

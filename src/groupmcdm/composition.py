@@ -1,9 +1,10 @@
 """Core simplex types and log-ratio machinery.
 
-Priority vectors carry only relative (ratio) information, so every statistic
-in this package is computed on pairwise log-ratios ln(w_i / w_j) rather than
-on the raw weights. This module provides the closed (unit-sum) composition
-type, the K-row priority matrix, the pairwise log-ratio transform and its
+Priority vectors carry only ratio information, so every statistic here is
+computed on log-ratios: means and distances on the n centred log-ratio (clr)
+coordinates, per-pair statistics (median, MAD, spreads) on the n(n-1)/2
+pairwise log-ratios ln(w_i / w_j). This module provides the closed (unit-sum)
+composition type, the K-row priority matrix, both transforms, the pairwise
 inverse, the average-array readout, and the multiplicative-transitivity check
 for pairwise comparison matrices.
 
@@ -66,6 +67,21 @@ def _validated_parts(raw, line=None) -> np.ndarray:
     return parts
 
 
+def _closed(parts: np.ndarray, row=None) -> np.ndarray:
+    """Close validated parts to unit sum; raises if a part underflows to 0."""
+    with np.errstate(over="ignore"):
+        s = parts.sum()
+    if not np.isfinite(s):  # the sum overflowed: rescale by the largest part
+        parts = parts / parts.max()
+        s = parts.sum()
+    closed = parts / s if abs(s - 1.0) > CLOSURE_TOL else parts
+    if not closed.all():
+        k = int(np.argmin(closed))
+        where = f"entry {k}" if row is None else f"row {row + 1}, column {k + 1}"
+        raise InputError(f"weight at {where} underflows to 0 on closing to unit sum")
+    return closed
+
+
 @dataclass(frozen=True, eq=False)
 class Composition:
     """A strictly positive vector closed to unit sum.
@@ -86,10 +102,8 @@ class Composition:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        parts = _validated_parts(self.parts)
-        s = parts.sum()
         # always leave the caller's array alone
-        parts = parts / s if abs(s - 1.0) > CLOSURE_TOL else parts.copy()
+        parts = np.array(_closed(_validated_parts(self.parts)))
         parts.flags.writeable = False
         object.__setattr__(self, "parts", parts)
         if self.labels is not None:
@@ -139,12 +153,7 @@ class PriorityMatrix:
             raise DimensionMismatch(f"expected a 2-D matrix, got shape {values.shape}")
         if values.shape[0] < 1:
             raise DimensionMismatch("need at least one decision-maker row")
-        closed = []
-        for row in values:
-            row = _validated_parts(row)
-            s = row.sum()
-            closed.append(row / s if abs(s - 1.0) > CLOSURE_TOL else row)
-        values = np.array(closed)
+        values = np.array([_closed(_validated_parts(r), k) for k, r in enumerate(values)])
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if self.labels is not None:
@@ -178,18 +187,27 @@ class PriorityMatrix:
 
     def log_ratios(self) -> np.ndarray:
         """(K, n(n-1)/2) matrix of per-DM pairwise log-ratios."""
-        return _pairwise_log_ratios(self.values)
+        return pair_differences(np.log(self.values))
 
 
-def _pairwise_log_ratios(values: np.ndarray) -> np.ndarray:
-    """Map (..., n) positive values to (..., n(n-1)/2) pairwise log-ratios.
+def clr(values) -> np.ndarray:
+    """Centred log-ratio coordinates of (..., n) positive values.
 
-    The one implementation of the transform: entry for pair (i, j), i < j, is
-    ln(v_i / v_j), pairs in lexicographic order. Inputs are not validated.
+    ln v_i minus the mean of ln v over the last axis. Scale invariant, so rows
+    need not be closed; inputs are not validated.
     """
-    i, j = pair_indices(values.shape[-1])
     logs = np.log(values)
-    return logs[..., i] - logs[..., j]
+    return logs - logs.mean(axis=-1, keepdims=True)
+
+
+def pair_differences(x: np.ndarray) -> np.ndarray:
+    """Map (..., n) log-space coordinates to (..., n(n-1)/2) differences.
+
+    The one pairwise transform: entry for pair (i, j), i < j, is x_i - x_j,
+    pairs in lexicographic order. On logs (or clr) these are ln(v_i / v_j).
+    """
+    i, j = pair_indices(x.shape[-1])
+    return x[..., i] - x[..., j]
 
 
 def log_ratio_transform(w) -> np.ndarray:
@@ -199,7 +217,7 @@ def log_ratio_transform(w) -> np.ndarray:
     order. The result is scale invariant, so any positive vector is accepted.
     """
     parts = w.parts if isinstance(w, Composition) else _validated_parts(w)
-    return _pairwise_log_ratios(parts)
+    return pair_differences(np.log(parts))
 
 
 def expand_log_ratios(v) -> np.ndarray:

@@ -254,6 +254,16 @@ class TestRankCommand:
         assert 'label="0.50"' in out
         assert "style=dashed" in out
 
+    def test_dot_labels_escaped(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "w.csv", 'x"y,b\\c\n0.4,0.6\n0.3,0.7\n')
+        code, out, _ = run_cli(
+            capsys, "rank", "--input", path, "--test", "sign", "--format", "dot"
+        )
+        assert code == 0
+        assert '  "x\\"y";\n' in out
+        assert '  "b\\\\c";\n' in out
+        assert '"b\\\\c" -> "x\\"y"' in out
+
     def test_seed_required_for_bayes(self, capsys, two_criteria_csv):
         code, _, err = run_cli(capsys, "rank", "--input", two_criteria_csv)
         assert code == 2
@@ -367,6 +377,58 @@ class TestExitCodesAndDeterminism:
             capsys, "aggregate", "--input", path, "--zero-policy", "drop"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["aggregate", "--deviant-threshold", "nan"],
+            ["aggregate", "--deviant-threshold", "inf"],
+            ["aggregate", "--deviant-threshold", "1.5"],
+            ["aggregate", "--deviant-threshold", "-0.1"],
+            ["aggregate", "--tol", "inf"],
+            ["aggregate", "--sigma-denominator", "inf"],
+            ["aggregate", "--zero-policy", "replace:inf"],
+            ["rank", "--prior-weight", "inf"],
+            ["rank", "--prior-a", "inf"],
+            ["rank", "--prior-b", "nan"],
+        ],
+    )
+    def test_non_finite_options_rejected(self, capsys, example_csv, option):
+        command, *flags = option
+        argv = [command, "--input", example_csv, "--seed", "1", *flags]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flags[0] in err
+
+    @pytest.mark.parametrize("row, code", [("1e308,1e308,1", 0), ("1e-300,1e300,1", 2)])
+    def test_rows_at_the_floating_point_limits(self, tmp_path, capsys, row, code):
+        # a row whose sum overflows is still closed; one with a part that
+        # underflows to zero is an input error naming the row
+        path = write_csv(tmp_path / "w.csv", f"a,b,c\n0.2,0.3,0.5\n0.5,0.3,0.2\n{row}\n")
+        for argv in (
+            ["aggregate", "--method", "amm"],
+            ["aggregate", "--method", "gmm"],
+            ["aggregate", "--method", "awgmm"],
+            ["describe"],
+            ["rank", "--seed", "1", "--mc-samples", "1000"],
+            ["rank", "--test", "sign"],
+            ["cluster", "--clusters", "2", "--seed", "1", "--with-baseline"],
+        ):
+            got, out, err = run_cli(capsys, *argv, "--input", path)
+            assert got == code, (argv, err)
+            if code == 0:
+                assert "NaN" not in out and "Infinity" not in out
+                results = json.loads(out)["results"]
+                if results.get("method") == "amm":
+                    # the third DM counts, closed to (0.5, 0.5, 5e-309)
+                    np.testing.assert_allclose(
+                        results["weights"]["values"], [0.4, 1.1 / 3, 0.7 / 3], atol=1e-15
+                    )
+                if "compositional" in results:
+                    assert len(results["compositional"]["assignments"]) == 3
+            else:
+                assert err.startswith("error: weight at row 3, column 1 underflows to 0")
 
     def test_rank_byte_identical(self, capsys, example_csv):
         argv = [

@@ -1,19 +1,26 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupmcdm import (
     EmptyClusterWarning,
     PriorityMatrix,
+    aggregate_awgmm,
+    aggregate_gmm,
     aitchison_distance,
+    build_average_array,
     close,
     inverse_log_ratio,
     kmeans_compositional,
     kmeans_standard_baseline,
     madc_distance,
 )
-from groupmcdm.composition import log_ratio_transform
+from groupmcdm.clustering import _dist_matrix
+from groupmcdm.composition import clr, log_ratio_transform
 from groupmcdm.errors import DimensionMismatch, InputError, TooManyClusters
 
 from conftest import random_matrix
@@ -249,3 +256,78 @@ class TestKmeansBaseline:
         rng = np.random.default_rng(55)
         W = random_matrix(rng, 10, 3)
         assert kmeans_standard_baseline(W, 2, seed=1).distance == "euclidean"
+
+
+def canonical(assignments):
+    """Relabel clusters in order of first appearance (the partition only)."""
+    first = {}
+    return [first.setdefault(int(a), len(first)) for a in assignments]
+
+
+class TestClrRepresentation:
+    """Means and distances run on the n clr coordinates, not on the pairs."""
+
+    # seed, number of rows, number of centroids, number of criteria
+    @given(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 4),
+                     st.integers(2, 12)))
+    @settings(max_examples=100, deadline=None)
+    def test_kernels_equal_pairwise_norms(self, case):
+        seed, K, o, n = case
+        rng = np.random.default_rng(seed)
+        X = PriorityMatrix(rng.dirichlet(np.ones(n), size=K))
+        C = PriorityMatrix(rng.dirichlet(np.ones(n), size=o))
+        delta = X.log_ratios()[:, None, :] - C.log_ratios()[None, :, :]
+        np.testing.assert_allclose(
+            _dist_matrix(clr(X.values), clr(C.values), "aitchison"),
+            np.sqrt((delta**2).sum(axis=2)), rtol=1e-12, atol=0,
+        )
+        np.testing.assert_allclose(
+            _dist_matrix(clr(X.values), clr(C.values), "madc"),
+            np.abs(delta).sum(axis=2), rtol=1e-12, atol=0,
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["aitchison", "madc"]))
+    @settings(max_examples=30, deadline=None)
+    def test_assignments_invariant_under_perturbation(self, seed, distance):
+        rng = np.random.default_rng(seed)
+        W, _, _ = two_blobs(rng, per_blob=8, n=5, spread=0.3)
+        p = rng.dirichlet(np.ones(5))
+        moved = PriorityMatrix(W.values * p)
+        for restarts in (1, 5):
+            base = kmeans_compositional(W, 3, distance, seed=2, restarts=restarts)
+            shifted = kmeans_compositional(moved, 3, distance, seed=2, restarts=restarts)
+            # restarts reaching one partition tie up to rounding, so only the
+            # partition is compared once there are several
+            if restarts == 1:
+                np.testing.assert_array_equal(shifted.assignments, base.assignments)
+            assert canonical(shifted.assignments) == canonical(base.assignments)
+
+    @pytest.mark.parametrize("distance", ["aitchison", "madc"])
+    def test_kmeans_memory_stays_linear(self, distance):
+        rng = np.random.default_rng(58)
+        W = random_matrix(rng, 200, 200)
+        tracemalloc.start()
+        try:
+            kmeans_compositional(W, 3, distance, seed=1, restarts=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (K, n(n-1)/2) pair matrix alone would take 32 MB here
+        assert peak < 10e6
+
+    def test_no_pairwise_log_ratio_matrix_needed(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("pairwise log-ratio matrix requested")
+
+        rng = np.random.default_rng(59)
+        W = random_matrix(rng, 12, 5)
+        monkeypatch.setattr(PriorityMatrix, "log_ratios", refuse)
+        aggregate_gmm(W)
+        lam = aggregate_awgmm(W).dm_weights
+        build_average_array(W, "mean")
+        build_average_array(W, "weighted", dm_weights=lam)
+        aitchison_distance(W.row(0), W.row(1))
+        madc_distance(W.row(0), W.row(1))
+        kmeans_compositional(W, 3, seed=1)
+        kmeans_compositional(W, 3, distance="madc", seed=1)
+        kmeans_standard_baseline(W, 3, seed=1)

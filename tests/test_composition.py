@@ -300,3 +300,26 @@ class TestPriorityMatrix:
     def test_zero_row_entry_rejected(self):
         with pytest.raises(NonPositiveEntry):
             PriorityMatrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
+
+
+class TestClosureAtTheFloatingPointLimits:
+    def test_overflowing_sum_is_rescaled_first(self):
+        expected = [0.5, 0.5, 0.5e-308]
+        np.testing.assert_allclose(
+            Composition([1e308, 1e308, 1.0]).parts, expected, rtol=1e-15, atol=0
+        )
+        W = PriorityMatrix(np.array([[0.2, 0.3, 0.5], [1e308, 1e308, 1.0]]))
+        np.testing.assert_allclose(W.values[1], expected, rtol=1e-15, atol=0)
+        assert np.all(W.values > 0) and np.all(np.isfinite(W.log_ratios()))
+
+    def test_normal_rows_are_closed_as_before(self):
+        raw = np.array([0.2, 0.3, 0.6])
+        assert np.array_equal(Composition(raw).parts, raw / raw.sum())
+        assert np.array_equal(PriorityMatrix(raw[None]).values[0], raw / raw.sum())
+
+    def test_part_underflowing_to_zero_is_rejected(self):
+        with pytest.raises(InputError, match="entry 0 underflows to 0"):
+            Composition([1e-300, 1e300, 1.0])
+        rows = np.array([[0.2, 0.3, 0.5], [1e-300, 1e300, 1.0]])
+        with pytest.raises(InputError, match="row 2, column 1 underflows to 0"):
+            PriorityMatrix(rows)
