@@ -234,9 +234,9 @@ def expand_log_ratios(v) -> np.ndarray:
 def consistency_violation(xi: np.ndarray) -> float:
     """Largest additive-transitivity violation max |xi_ij - xi_ih - xi_hj|."""
     xi = np.asarray(xi, dtype=float)
-    # T[i, h, j] = xi[i, h] + xi[h, j]
-    through = xi[:, :, None] + xi[None, :, :]
-    return float(np.max(np.abs(through - xi[:, None, :])))
+    # one middle index h at a time: (n, n) temporaries instead of (n, n, n)
+    return float(np.max([np.max(np.abs(xi[:, h, None] + xi[None, h, :] - xi))
+                         for h in range(xi.shape[0])]))
 
 
 def inverse_log_ratio(v, labels=None, tol: float = CONSISTENCY_TOL) -> Composition:

@@ -13,9 +13,12 @@ ln(W_ki / W_kj).
 * ``sign_test``: beta-binomial posterior from win/loss counts.
 * ``credal_ranking``: one credal ordering per criterion pair.
 
-Determinism: Monte Carlo draws for a pair are taken from a substream derived
-from (seed, unordered pair), so results do not depend on evaluation order and
-the two directions of one pair are exact complements.
+Determinism: the Bayesian test's Dirichlet weights index the DMs, not the
+criterion pairs, so a panel makes one draw of S weight vectors from
+``default_rng(seed)`` and scores every pair against it. A pair's posterior
+thus depends only on its log-ratios, the seed, S and the prior:
+``credal_ranking`` and ``bayesian_signed_rank`` agree on it exactly, and
+relabelling the criteria permutes the ranking exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import PriorityMatrix
+from .composition import PriorityMatrix, pair_indices
 from .errors import AllZeroRatios, InputError, InsufficientSamples
 
 BAYES_WILCOXON = "bayes-wilcoxon"
@@ -132,23 +135,76 @@ class CredalOrdering:
         return lo <= self.p_greater <= hi
 
 
-def _walsh_sign_posterior(z: np.ndarray, mc_samples: int, rng, prior_weight: float) -> float:
-    """P(population pseudo-median of z exceeds zero) under Dirichlet weighting.
+#: Elements per temporary of the Walsh kernel: draws or pairs per chunk
+#: times the observations (or observation pairs) they span.
+_BLOCK = 1 << 14
+#: Largest K + 1 scored by the matrix-product form, O(S K^2) per pair in
+#: BLAS; above it the sorted prefix-sum form, O(S K log K) per pair, wins.
+_MATRIX_FORM_MAX = 48
 
-    Augments z with one pseudo-observation at zero carrying ``prior_weight``,
-    draws simplex weights g, and scores the g-weighted sign sum over all
-    Walsh averages (z_a + z_b) / 2, a <= b. Exact-zero sums count one half,
-    which keeps d(i > j) + d(j > i) = 1 and maps all-equal data to 0.5.
+
+def _walsh_sign_posteriors(V: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """P(stat > 0) + P(stat = 0) / 2 for each column of V under draws g.
+
+    V (K+1, pairs) holds each pair's log-ratios below the pseudo-observation
+    0; g (S, K+1) holds the draws. stat = sum_{a<=b} g_a g_b sign(v_a + v_b).
+    Counting exact zeros as one half maps all-equal data to 0.5 and makes the
+    posteriors of V and -V sum to exactly 1.
     """
-    values = np.concatenate(([0.0], z))
-    alpha = np.concatenate(([prior_weight], np.ones(z.size)))
-    signs = np.sign(values[:, None] + values[None, :])
-    g = rng.dirichlet(alpha, size=mc_samples)
-    # sum_{a<=b} g_a g_b signs_ab is sign-equivalent to full + diag:
-    full = np.einsum("si,si->s", g, g @ signs)
-    diag = (g * g) @ np.diag(signs)
-    stat = full + diag
-    return float(((stat > 0).sum() + 0.5 * (stat == 0).sum()) / mc_samples)
+    S, m = g.shape
+    wins = np.zeros(V.shape[1])
+    if m <= _MATRIX_FORM_MAX:
+        a, b = np.triu_indices(m)
+        step = max(1, _BLOCK // a.size)
+        for q in range(0, V.shape[1], step):
+            # fancy indexing copies; the in-place steps keep one fewer
+            # temporary alive, which shows in the resident memory of `rank`
+            signs = V[a, q:q + step]
+            signs += V[b, q:q + step]
+            np.sign(signs, out=signs)
+            for s in range(0, S, step):
+                weights = g[s:s + step, a]
+                weights *= g[s:s + step, b]
+                stat = weights @ signs
+                wins[q:q + step] += (stat > 0).sum(axis=0) + 0.5 * (stat == 0).sum(axis=0)
+        return wins / S
+    # twice stat: each a weighs the g-mass above -v_a minus the mass below it,
+    # read off prefix sums of g in ascending order of v
+    step = max(1, _BLOCK // m)
+    for p, v in enumerate(V.T):
+        order = np.argsort(v, kind="stable")
+        below = np.searchsorted(v[order], -v, side="left")
+        upto = np.searchsorted(v[order], -v, side="right")
+        for s in range(0, S, step):
+            chunk = g[s:s + step]
+            prefix = np.zeros((chunk.shape[0], m + 1))
+            np.cumsum(np.take(chunk, order, axis=1), axis=1, out=prefix[:, 1:])
+            mass = prefix[:, -1:] - np.take(prefix, upto, axis=1) - np.take(prefix, below, axis=1)
+            stat = np.einsum("sa,sa->s", chunk, mass + chunk * np.sign(v))
+            wins[p] += (stat > 0).sum() + 0.5 * (stat == 0).sum()
+    return wins / S
+
+
+def _bayes_posteriors(W: PriorityMatrix, i: np.ndarray, j: np.ndarray,
+                      mc_samples: int, seed, prior_weight: float) -> np.ndarray:
+    """P(criterion i[k] outweighs j[k]) for each k, on the panel's one draw."""
+    if W.n_dms < 2:
+        raise InsufficientSamples("the Bayesian signed-rank test needs K >= 2")
+    if mc_samples < 1000:
+        raise InputError("mc_samples must be at least 1000")
+    if not prior_weight > 0:
+        raise InputError("prior_weight must be positive")
+    alpha = np.concatenate(([prior_weight], np.ones(W.n_dms)))
+    g = np.random.default_rng(seed).dirichlet(alpha, size=mc_samples)
+    logs = np.log(W.values)
+    m = W.n_dms + 1
+    block = max(1, 2 * _BLOCK // (m * (m + 1)))  # pairs per V: one matrix-form sign block
+    p = np.empty(i.size)
+    for k in range(0, i.size, block):
+        V = np.zeros((m, min(block, i.size - k)))
+        np.subtract(logs[:, i[k:k + block]], logs[:, j[k:k + block]], out=V[1:])
+        p[k:k + block] = _walsh_sign_posteriors(V, g)
+    return p
 
 
 def bayesian_signed_rank(
@@ -161,21 +217,15 @@ def bayesian_signed_rank(
 ) -> CredalOrdering:
     """Bayesian signed-rank comparison of criteria i and j.
 
-    Deterministic for a fixed seed. The Monte Carlo stream depends only on
-    the unordered pair, so swapping i and j yields the exact complement.
+    Deterministic for a fixed seed and equal to ``credal_ranking`` on this
+    pair: both score (min, max) on the panel's one draw, and a reversed pair
+    gets the exact complement.
     """
     if i == j:
         raise InputError("need two distinct criteria")
-    if W.n_dms < 2:
-        raise InsufficientSamples("the Bayesian signed-rank test needs K >= 2")
-    if mc_samples < 1000:
-        raise InputError("mc_samples must be at least 1000")
-    if not prior_weight > 0:
-        raise InputError("prior_weight must be positive")
     lo, hi = (i, j) if i < j else (j, i)
-    z = np.log(W.values[:, lo] / W.values[:, hi])
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo, hi)))
-    d_lo = _walsh_sign_posterior(z, mc_samples, rng, prior_weight)
+    d_lo = _bayes_posteriors(W, np.array([lo]), np.array([hi]), mc_samples, seed,
+                             prior_weight).item()
     p = d_lo if i == lo else 1.0 - d_lo
     return CredalOrdering(i=i, j=j, p_greater=p, test=BAYES_WILCOXON)
 
@@ -248,22 +298,20 @@ def credal_ranking(
     prior_a: float = 1.0,
     prior_b: float = 1.0,
 ) -> CredalRanking:
-    """One credal ordering per unordered criterion pair, i < j."""
-    n = W.n_criteria
-    orderings = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if test == BAYES_WILCOXON:
-                orderings.append(
-                    bayesian_signed_rank(
-                        W, i, j, mc_samples=mc_samples, seed=seed,
-                        prior_weight=prior_weight,
-                    )
-                )
-            elif test == SIGN_TEST:
-                orderings.append(sign_test(W, i, j, prior_a, prior_b))
-            else:
-                raise InputError(f"unknown test {test!r}")
+    """One credal ordering per unordered criterion pair, i < j.
+
+    Arguments are validated before the Bayesian test's one draw per panel.
+    """
+    i, j = pair_indices(W.n_criteria)
+    if test == BAYES_WILCOXON:
+        p = _bayes_posteriors(W, i, j, mc_samples, seed, prior_weight)
+        orderings = [CredalOrdering(i=a, j=b, p_greater=q, test=test)
+                     for a, b, q in zip(i.tolist(), j.tolist(), p.tolist())]
+    elif test == SIGN_TEST:
+        orderings = [sign_test(W, a, b, prior_a, prior_b)
+                     for a, b in zip(i.tolist(), j.tolist())]
+    else:
+        raise InputError(f"unknown test {test!r}")
     return CredalRanking(
         orderings=tuple(orderings),
         test=test,

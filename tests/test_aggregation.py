@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,18 @@ class TestGmm:
         amm = aggregate_amm(example_matrix).weights.parts
         gmm = aggregate_gmm(example_matrix).weights.parts
         assert np.max(np.abs(amm - gmm)) > 0.005
+
+    def test_memory_stays_quadratic(self):
+        rng = np.random.default_rng(61)
+        W = random_matrix(rng, 200, 200)
+        tracemalloc.start()
+        try:
+            aggregate_gmm(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (n, n, n) consistency temporary alone would take 64 MB here
+        assert peak < 5e6
 
 
 class TestAwgmm:

@@ -401,6 +401,25 @@ class TestExitCodesAndDeterminism:
         assert out == ""
         assert err.startswith("error: ") and flags[0] in err
 
+    @pytest.mark.parametrize(
+        "rows, flags",
+        [
+            ("0.5,0.3,0.2\n", []),  # one DM: InsufficientSamples
+            ("0.5,0.3,0.2\n0.2,0.3,0.5\n", ["--mc-samples", "999"]),
+            ("0.5,0.3,0.2\n0.2,0.3,0.5\n", ["--prior-weight", "0"]),
+            ("0.5,0.3,0.2\n0.2,0.3,0.5\n", ["--test", "t-test"]),
+        ],
+    )
+    def test_invalid_rank_input_exits_2(self, tmp_path, capsys, rows, flags):
+        path = write_csv(tmp_path / "w.csv", "a,b,c\n" + rows)
+        try:
+            code, out, err = run_cli(capsys, "rank", "--input", path, "--seed", "1", *flags)
+        except SystemExit as exc:  # argparse rejects an unknown --test choice
+            code, out, err = exc.code, "", capsys.readouterr().err
+        assert code == 2
+        assert out == ""
+        assert "error: " in err
+
     @pytest.mark.parametrize("row, code", [("1e308,1e308,1", 0), ("1e-300,1e300,1", 2)])
     def test_rows_at_the_floating_point_limits(self, tmp_path, capsys, row, code):
         # a row whose sum overflows is still closed; one with a part that

@@ -227,6 +227,18 @@ class TestArrayToComposition:
         e = expand_log_ratios(log_ratio_transform(w))
         assert consistency_violation(e) < 1e-14
 
+    def test_consistency_violation_equals_broadcast_form(self):
+        # reference: the (n, n, n) broadcast form, the same arithmetic per element
+        rng = np.random.default_rng(60)
+        for n in (2, 3, 7, 30):
+            for xi in (
+                rng.normal(size=(n, n)),
+                expand_log_ratios(log_ratio_transform(rng.dirichlet(np.ones(n)))),
+            ):
+                through = xi[:, :, None] + xi[None, :, :]
+                expected = float(np.max(np.abs(through - xi[:, None, :])))
+                assert consistency_violation(xi) == expected
+
 
 class TestPermutationEquivariance:
     @given(st.integers(min_value=0, max_value=10_000))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from groupmcdm import (
     PriorityMatrix,
     bayesian_signed_rank,
+    credal,
     credal_ranking,
     sign_test,
     signed_rank_summary,
@@ -179,6 +181,8 @@ class TestBayesianSignedRank:
     def test_validation(self, two_criteria_matrix):
         with pytest.raises(InputError):
             bayesian_signed_rank(two_criteria_matrix, 0, 1, mc_samples=10, seed=1)
+        with pytest.raises(InputError):
+            bayesian_signed_rank(two_criteria_matrix, 0, 1, prior_weight=0.0, seed=1)
         with pytest.raises(InsufficientSamples):
             bayesian_signed_rank(
                 PriorityMatrix(np.array([[0.6, 0.4]])), 0, 1, seed=1
@@ -242,3 +246,141 @@ class TestCredalRanking:
         o = sign_test(W, 0, 1)
         assert o.p_greater == 0.5
         assert o.in_equal_region
+
+
+def sign_sum_posterior(V, g):
+    """Brute-force oracle: sum_{a<=b} g_a g_b sign(v_a + v_b) per draw.
+
+    Builds each pair's full (K+1) x (K+1) sign matrix and keeps its upper
+    triangle, the statistic the kernel must reproduce on identical draws.
+    """
+    out = []
+    for v in V.T:
+        upper = np.triu(np.sign(v[:, None] + v[None, :]))
+        stat = ((g @ upper) * g).sum(axis=1)
+        out.append((np.count_nonzero(stat > 0) + 0.5 * np.count_nonzero(stat == 0)) / len(g))
+    return np.array(out)
+
+
+def tied_log_ratios(rng, n_dms, n_pairs):
+    """(K+1, pairs) augmented log-ratios with zeros and exact v_a = -v_b ties."""
+    V = np.zeros((n_dms + 1, n_pairs))
+    V[1:] = rng.normal(size=(n_dms, n_pairs))
+    V[1:][rng.random((n_dms, n_pairs)) < 0.2] = 0.0
+    half = n_dms // 2
+    mirrored = rng.random((half, n_pairs)) < 0.3
+    V[1 + half:1 + 2 * half][mirrored] = -V[1:1 + half][mirrored]
+    V[:, 0] = 0.0  # one pair where every DM ties
+    V[1:, 1] = np.where(np.arange(n_dms) % 2, 0.5, -0.5)  # mirrored halves
+    return V
+
+
+class TestWalshKernel:
+    @pytest.mark.parametrize("n_dms", [2, 3, 6, 30, 47, 48, 100, 300])
+    def test_equals_sign_matrix_oracle(self, n_dms):
+        rng = np.random.default_rng(70 + n_dms)
+        V = tied_log_ratios(rng, n_dms, 5)
+        g = rng.dirichlet(np.r_[0.7, np.ones(n_dms)], size=1000)
+        np.testing.assert_array_equal(
+            credal._walsh_sign_posteriors(V, g), sign_sum_posterior(V, g)
+        )
+
+    @pytest.mark.parametrize("n_dms", [2, 5, 30, 70])
+    def test_both_forms_agree(self, monkeypatch, n_dms):
+        rng = np.random.default_rng(80 + n_dms)
+        V = tied_log_ratios(rng, n_dms, 40)
+        g = rng.dirichlet(np.ones(n_dms + 1), size=1000)
+        forms = []
+        for largest in (n_dms + 1, 0):  # matrix-product form, then sorted form
+            monkeypatch.setattr(credal, "_MATRIX_FORM_MAX", largest)
+            forms.append(credal._walsh_sign_posteriors(V, g))
+        np.testing.assert_array_equal(forms[0], forms[1])
+
+    def test_mirror_is_exact_complement(self):
+        rng = np.random.default_rng(90)
+        for n_dms in (4, 200):
+            V = tied_log_ratios(rng, n_dms, 20)
+            g = rng.dirichlet(np.ones(n_dms + 1), size=1000)
+            p = credal._walsh_sign_posteriors(V, g)
+            q = credal._walsh_sign_posteriors(-V, g)
+            assert np.all(p + q == 1.0)
+            assert p[0] == 0.5
+
+    def test_memory_stays_linear_in_dms(self):
+        # the draws take S (K+1) floats; a (K+1)^2 sign matrix would be 72 MB
+        rng = np.random.default_rng(91)
+        W = random_matrix(rng, 3000, 3)
+        draws = 1000 * (W.n_dms + 1) * 8
+        tracemalloc.start()
+        try:
+            credal_ranking(W, seed=1, mc_samples=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * draws
+
+
+class TestSharedStream:
+    def test_ranking_equals_single_pair_test(self):
+        rng = np.random.default_rng(92)
+        for n_dms, n in ((5, 4), (80, 5)):
+            W = random_matrix(rng, n_dms, n)
+            ranking = credal_ranking(W, seed=17, mc_samples=1000)
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        single = bayesian_signed_rank(W, i, j, seed=17, mc_samples=1000)
+                        assert ranking.ordering(i, j).p_greater == single.p_greater
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(1, 6), min_size=n, max_size=n),
+                         min_size=2, max_size=9),
+                st.permutations(range(n)),
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_criterion_permutation_permutes_ranking(self, rows_perm, seed):
+        # integer weights close exactly in any column order, and give many
+        # zero and mirrored log-ratios
+        rows, perm = rows_perm
+        values = np.array(rows, dtype=float)
+        base = credal_ranking(PriorityMatrix(values), seed=seed, mc_samples=1000)
+        moved = credal_ranking(PriorityMatrix(values[:, perm]), seed=seed, mc_samples=1000)
+        stored = {(o.i, o.j): o.p_greater for o in base.orderings}
+        for o in moved.orderings:
+            a, b = perm[o.i], perm[o.j]
+            if a < b:
+                assert o.p_greater == stored[a, b]
+            else:
+                assert o.p_greater + stored[b, a] == 1.0
+
+
+class TestCredalValidation:
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"mc_samples": 999}, InputError),
+            ({"prior_weight": 0.0}, InputError),
+            ({"prior_weight": -1.0}, InputError),
+            ({"test": "t-test"}, InputError),
+        ],
+    )
+    def test_rejected_before_any_draw(self, monkeypatch, two_criteria_matrix, kwargs, error):
+        def refuse(*args, **kw):
+            raise AssertionError("drew before validating")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(error):
+            credal_ranking(two_criteria_matrix, seed=1, **kwargs)
+
+    def test_one_dm_rejected_before_any_draw(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("drew before validating")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(InsufficientSamples):
+            credal_ranking(PriorityMatrix(np.array([[0.6, 0.3, 0.1]])), seed=1)
