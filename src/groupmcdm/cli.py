@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import warnings as _warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -146,11 +146,13 @@ class Report:
     warnings: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        # the held dicts are plain data already: no copy before dumping
+        plain = {"config": self.config, "results": self.results, "warnings": self.warnings}
+        return json.dumps(plain, sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [f"command: {self.config['command']}"]
-        lines.extend(_text_body(self.config, self.results))
+        lines.extend(_text_body(self.results))
         for note in self.warnings:
             lines.append(f"warning: {note}")
         return "\n".join(lines) + "\n"
@@ -159,17 +161,6 @@ class Report:
         if "orderings" not in self.results:
             raise InputError("dot output is only available for the rank command")
         return _render_dot(self.results)
-
-
-def _composition_dict(labels, values) -> dict:
-    return {
-        "labels": list(labels),
-        "values": [float(v) for v in values],
-    }
-
-
-def _matrix_list(a) -> list:
-    return [[float(v) for v in row] for row in np.asarray(a)]
 
 
 def _labels(W: PriorityMatrix):
@@ -205,7 +196,7 @@ def cmd_aggregate(config: RunConfig) -> Report:
 
     results = {
         "method": result.method,
-        "weights": _composition_dict(labels, result.weights.parts),
+        "weights": {"labels": list(labels), "values": result.weights.parts.tolist()},
     }
     if result.method == aggregation.AWGMM:
         if not result.converged:
@@ -216,7 +207,7 @@ def cmd_aggregate(config: RunConfig) -> Report:
         deviants = [k + 1 for k, v in enumerate(lam) if v < config.deviant_threshold]
         results.update(
             {
-                "dm_weights": [float(v) for v in lam],
+                "dm_weights": lam.tolist(),
                 "iterations": result.iterations,
                 "converged": result.converged,
                 "deviants": deviants,
@@ -237,9 +228,9 @@ def cmd_describe(config: RunConfig) -> Report:
     for estimator in (dispersion.AD_MEAN, dispersion.AD_MEDIAN, dispersion.AD_AWGMM):
         ad = dispersion.average_deviation_array(W, estimator)
         arrays[estimator] = {
-            "xi": _matrix_list(ad.xi),
-            "tau": _matrix_list(ad.tau),
-            "combined": _matrix_list(ad.combined),
+            "xi": ad.xi.tolist(),
+            "tau": ad.tau.tolist(),
+            "combined": ad.combined.tolist(),
         }
     results = {"labels": list(labels), "ad_arrays": arrays}
     return Report(config=asdict(config), results=results, warnings=notes)
@@ -287,42 +278,44 @@ def cmd_cluster(config: RunConfig) -> Report:
     def model_dict(model):
         return {
             "distance": model.distance,
-            "centroids": _matrix_list(model.centroids),
-            "centroid_sums": [float(s) for s in model.centroid_sums],
-            "assignments": [int(a) for a in model.assignments],
+            "centroids": model.centroids.tolist(),
+            "centroid_sums": model.centroid_sums.tolist(),
+            "assignments": model.assignments.tolist(),
             "inertia": float(model.inertia),
             "iterations": model.iterations,
             "reseeded_clusters": model.n_reseeds,
         }
 
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always", clustering.EmptyClusterWarning)
-        model = clustering.kmeans_compositional(
-            W,
-            config.clusters,
-            distance=config.distance,
-            seed=config.seed,
-            restarts=config.restarts,
-            max_iter=config.max_iter,
-        )
-        results = {
-            "labels": list(labels),
-            "compositional": model_dict(model),
+    # every restart warns on its own re-seeds; the report notes those of the
+    # returned models only, once each, from n_reseeds
+    with _warnings.catch_warnings():
+        _warnings.simplefilter("ignore", clustering.EmptyClusterWarning)
+        models = {
+            "compositional": clustering.kmeans_compositional(
+                W,
+                config.clusters,
+                distance=config.distance,
+                seed=config.seed,
+                restarts=config.restarts,
+                max_iter=config.max_iter,
+            )
         }
         if config.with_baseline:
-            baseline = clustering.kmeans_standard_baseline(
+            models["baseline"] = clustering.kmeans_standard_baseline(
                 W,
                 config.clusters,
                 seed=config.seed,
                 restarts=config.restarts,
                 max_iter=config.max_iter,
             )
-            results["baseline"] = model_dict(baseline)
-            results["baseline"]["fallacious_baseline"] = True
             notes.append(BASELINE_WARNING)
-    for w in caught:
-        if issubclass(w.category, clustering.EmptyClusterWarning):
-            notes.append(str(w.message))
+    results = {"labels": list(labels)}
+    for key, model in models.items():
+        results[key] = model_dict(model)
+        if model.n_reseeds:
+            notes.append(f"{key} K-means re-seeded {model.n_reseeds} empty cluster(s)")
+    if config.with_baseline:
+        results["baseline"]["fallacious_baseline"] = True
     return Report(config=asdict(config), results=results, warnings=notes)
 
 
@@ -339,7 +332,7 @@ def _text_table(columns, rows) -> list:
     return lines
 
 
-def _text_body(config, results) -> list:
+def _text_body(results) -> list:
     lines = []
     if "weights" in results:
         lines.append(f"method: {results['method']}")
@@ -477,23 +470,10 @@ def _parse_zero_policy(text: str):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    policy, eps = _parse_zero_policy(args.zero_policy)
-    fields = {
-        "command": args.command,
-        "input": args.input,
-        "zero_policy": policy,
-        "zero_eps": eps,
-        "output_format": args.output_format,
-        "seed": args.seed,
-    }
-    for name in (
-        "method", "max_iter", "tol", "sigma_denominator", "deviant_threshold",
-        "test", "mc_samples", "prior_weight", "prior_a", "prior_b",
-        "clusters", "distance", "restarts", "with_baseline",
-    ):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    config = RunConfig(**fields)
+    # each subcommand's parser defines the RunConfig fields it sets
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    given["zero_policy"], given["zero_eps"] = _parse_zero_policy(args.zero_policy)
+    config = RunConfig(**given)
     for name, value in asdict(config).items():
         if isinstance(value, float) and not math.isfinite(value):
             option = "zero-policy" if name == "zero_eps" else name.replace("_", "-")

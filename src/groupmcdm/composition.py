@@ -55,29 +55,38 @@ def dimension_from_pairs(m: int) -> int:
     return n
 
 
-def _validated_parts(raw, line=None) -> np.ndarray:
-    parts = np.asarray(raw, dtype=float)
-    if parts.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {parts.shape}")
-    if parts.size < 2:
-        raise DimensionTooSmall(parts.size)
-    bad = np.where(~(parts > 0) | ~np.isfinite(parts))[0]
-    if bad.size:
-        raise NonPositiveEntry(int(bad[0]), float(parts[bad[0]]), line=line)
+def _validated_parts(raw, ndim: int = 1) -> np.ndarray:
+    """``raw`` as C-ordered floats of shape (..., n) with ``ndim`` axes (1 or 2),
+    n >= 2 and every part positive and finite."""
+    # C order: each row then sums exactly as the same row on its own
+    parts = np.asarray(raw, dtype=float, order="C")
+    if parts.ndim != ndim:
+        shape = "1-D vector" if ndim == 1 else "2-D matrix"
+        raise DimensionMismatch(f"expected a {shape}, got shape {parts.shape}")
+    if parts.shape[-1] < 2:
+        raise DimensionTooSmall(parts.shape[-1])
+    bad = ~(parts > 0) | ~np.isfinite(parts)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonPositiveEntry(int(first[-1]), float(parts[first]))
     return parts
 
 
-def _closed(parts: np.ndarray, row=None) -> np.ndarray:
-    """Close validated parts to unit sum; raises if a part underflows to 0."""
+def _closed(parts: np.ndarray) -> np.ndarray:
+    """Close validated (..., n) parts to unit sum along the last axis.
+
+    Returns a new array; raises if a part underflows to 0.
+    """
     with np.errstate(over="ignore"):
-        s = parts.sum()
-    if not np.isfinite(s):  # the sum overflowed: rescale by the largest part
-        parts = parts / parts.max()
-        s = parts.sum()
-    closed = parts / s if abs(s - 1.0) > CLOSURE_TOL else parts
+        s = parts.sum(axis=-1, keepdims=True)
+    over = ~np.isfinite(s)
+    if over.any():  # a sum overflowed: rescale that row by its largest part
+        parts = np.where(over, parts / parts.max(axis=-1, keepdims=True), parts)
+        s = parts.sum(axis=-1, keepdims=True)
+    closed = np.where(np.abs(s - 1.0) > CLOSURE_TOL, parts / s, parts)
     if not closed.all():
-        k = int(np.argmin(closed))
-        where = f"entry {k}" if row is None else f"row {row + 1}, column {k + 1}"
+        k = np.unravel_index(np.argmin(closed), closed.shape)
+        where = f"entry {k[0]}" if closed.ndim == 1 else f"row {k[0] + 1}, column {k[1] + 1}"
         raise InputError(f"weight at {where} underflows to 0 on closing to unit sum")
     return closed
 
@@ -102,8 +111,8 @@ class Composition:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # always leave the caller's array alone
-        parts = np.array(_closed(_validated_parts(self.parts)))
+        # _closed returns a new array: the caller's is left alone
+        parts = _closed(_validated_parts(self.parts))
         parts.flags.writeable = False
         object.__setattr__(self, "parts", parts)
         if self.labels is not None:
@@ -149,11 +158,9 @@ class PriorityMatrix:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise DimensionMismatch(f"expected a 2-D matrix, got shape {values.shape}")
-        if values.shape[0] < 1:
+        if values.ndim == 2 and values.shape[0] < 1:
             raise DimensionMismatch("need at least one decision-maker row")
-        values = np.array([_closed(_validated_parts(r), k) for k, r in enumerate(values)])
+        values = _closed(_validated_parts(values, ndim=2))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if self.labels is not None:

@@ -24,6 +24,7 @@ relabelling the criteria permutes the ranking exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -277,15 +278,17 @@ class CredalRanking:
     mc_samples: int | None = None
     seed: int | None = None
 
+    @cached_property
+    def _by_pair(self) -> dict:
+        return {(o.i, o.j): o for o in self.orderings}
+
     def ordering(self, i: int, j: int) -> CredalOrdering:
         """The stored ordering for a pair, complemented if queried reversed."""
-        for o in self.orderings:
-            if (o.i, o.j) == (i, j):
-                return o
-            if (o.i, o.j) == (j, i):
-                return CredalOrdering(
-                    i=i, j=j, p_greater=1.0 - o.p_greater, test=o.test
-                )
+        if (i, j) in self._by_pair:
+            return self._by_pair[i, j]
+        if (j, i) in self._by_pair:
+            o = self._by_pair[j, i]
+            return CredalOrdering(i=i, j=j, p_greater=1.0 - o.p_greater, test=o.test)
         raise InputError(f"no ordering for pair ({i}, {j})")
 
 

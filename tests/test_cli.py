@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupmcdm.cli import RunConfig, cmd_aggregate, load_priorities, main
+from groupmcdm.cli import (
+    COMMANDS,
+    RunConfig,
+    _build_parser,
+    _config_from_args,
+    cmd_aggregate,
+    load_priorities,
+    main,
+)
 from groupmcdm.errors import (
     InputError,
     NonPositiveEntry,
@@ -341,6 +350,25 @@ class TestClusterCommand:
         )
         assert code == 2
 
+    def test_reseeds_noted_once_per_model(self, tmp_path, capsys):
+        path = write_csv(
+            tmp_path / "w.csv", "a,b,c\n" + "0.7,0.2,0.1\n" * 3 + "0.1,0.2,0.7\n"
+        )
+        argv = ["cluster", "--input", path, "--clusters", "3", "--seed", "1",
+                "--with-baseline"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        report = json.loads(out)
+        results = report["results"]
+        assert [results[key]["reseeded_clusters"] for key in ("compositional", "baseline")] == [2, 2]
+        assert [w for w in report["warnings"] if "re-seeded" in w] == [
+            "compositional K-means re-seeded 2 empty cluster(s)",
+            "baseline K-means re-seeded 2 empty cluster(s)",
+        ]
+        code, out, err = run_cli(capsys, *argv, "--format", "text")
+        assert code == 0 and err == ""
+        assert out.count("re-seeded") == 2
+
     def test_iteration_and_restart_counts_validated(self, capsys, example_csv):
         for flag in ("--max-iter", "--restarts"):
             code, out, err = run_cli(
@@ -463,6 +491,28 @@ class TestExitCodesAndDeterminism:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aggregate", "--method", "amm"],
+        ["aggregate", "--method", "gmm"],
+        ["aggregate", "--method", "awgmm"],
+        ["describe"],
+        ["rank", "--seed", "3", "--mc-samples", "1000"],
+        ["rank", "--test", "sign"],
+        ["cluster", "--clusters", "2", "--seed", "1"],
+        ["cluster", "--clusters", "2", "--seed", "1", "--distance", "madc",
+         "--with-baseline"],
+    ],
+)
+def test_json_layout_matches_dataclass_dump(argv, example_csv):
+    # the dump of the whole dataclass is the layout the JSON has always had
+    args = _build_parser().parse_args([*argv, "--input", example_csv])
+    report = COMMANDS[args.command](_config_from_args(args))
+    expected = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
+    assert report.to_json() == expected
 
 
 def test_import_does_not_load_scipy():

@@ -329,6 +329,22 @@ class TestClosureAtTheFloatingPointLimits:
         assert np.array_equal(Composition(raw).parts, raw / raw.sum())
         assert np.array_equal(PriorityMatrix(raw[None]).values[0], raw / raw.sum())
 
+    def test_matrix_rows_close_as_compositions_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            K, n = int(rng.integers(1, 8)), int(rng.integers(2, 300))
+            kinds = rng.integers(0, 3, size=K)
+            V = np.array([
+                rng.dirichlet(np.ones(n)) if kind == 0  # closed
+                else rng.uniform(0.01, 5.0, n) if kind == 1  # unclosed
+                else rng.uniform(0.5, 1.0, n) * 1e308  # the sum overflows
+                for kind in kinds
+            ])
+            for panel in (V, np.asfortranarray(V)):
+                W = PriorityMatrix(panel)
+                for k in range(K):
+                    assert np.array_equal(W.values[k], Composition(V[k]).parts)
+
     def test_part_underflowing_to_zero_is_rejected(self):
         with pytest.raises(InputError, match="entry 0 underflows to 0"):
             Composition([1e-300, 1e300, 1.0])

@@ -237,6 +237,26 @@ class TestCredalRanking:
             ranking.ordering(0, 1).p_greater + ranking.ordering(1, 0).p_greater == 1.0
         )
 
+    def test_ordering_lookup_every_pair(self):
+        W = random_matrix(np.random.default_rng(37), 6, 5)
+        ranking = credal_ranking(W, seed=5, mc_samples=1000)
+        stored = {(o.i, o.j): o for o in ranking.orderings}
+        n = W.n_criteria
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    with pytest.raises(InputError):
+                        ranking.ordering(i, i)
+                elif i < j:
+                    assert ranking.ordering(i, j) is stored[i, j]
+                else:
+                    got = ranking.ordering(i, j)
+                    assert (got.i, got.j, got.test) == (i, j, stored[j, i].test)
+                    assert got.p_greater == 1.0 - stored[j, i].p_greater
+        for i, j in ((0, n), (n, 0), (-1, 0), (n, n + 1)):
+            with pytest.raises(InputError):
+                ranking.ordering(i, j)
+
     def test_unknown_test(self, two_criteria_matrix):
         with pytest.raises(InputError):
             credal_ranking(two_criteria_matrix, test="t-test")
