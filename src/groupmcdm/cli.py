@@ -163,13 +163,8 @@ class Report:
         return _render_dot(self.results)
 
 
-def _labels(W: PriorityMatrix):
-    return W.labels or tuple(f"c{i + 1}" for i in range(W.n_criteria))
-
-
 def cmd_aggregate(config: RunConfig) -> Report:
     W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
-    labels = _labels(W)
     if config.method == aggregation.AMM:
         result = aggregation.aggregate_amm(W)
         notes.append(AMM_WARNING)
@@ -196,7 +191,7 @@ def cmd_aggregate(config: RunConfig) -> Report:
 
     results = {
         "method": result.method,
-        "weights": {"labels": list(labels), "values": result.weights.parts.tolist()},
+        "weights": {"labels": list(W.labels), "values": result.weights.parts.tolist()},
     }
     if result.method == aggregation.AWGMM:
         if not result.converged:
@@ -223,7 +218,6 @@ def cmd_aggregate(config: RunConfig) -> Report:
 
 def cmd_describe(config: RunConfig) -> Report:
     W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
-    labels = _labels(W)
     arrays = {}
     for estimator in (dispersion.AD_MEAN, dispersion.AD_MEDIAN, dispersion.AD_AWGMM):
         ad = dispersion.average_deviation_array(W, estimator)
@@ -232,13 +226,12 @@ def cmd_describe(config: RunConfig) -> Report:
             "tau": ad.tau.tolist(),
             "combined": ad.combined.tolist(),
         }
-    results = {"labels": list(labels), "ad_arrays": arrays}
+    results = {"labels": list(W.labels), "ad_arrays": arrays}
     return Report(config=asdict(config), results=results, warnings=notes)
 
 
 def cmd_rank(config: RunConfig) -> Report:
     W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
-    labels = _labels(W)
     ranking = credal.credal_ranking(
         W,
         test=config.test,
@@ -254,16 +247,16 @@ def cmd_rank(config: RunConfig) -> Report:
             {
                 "i": o.i,
                 "j": o.j,
-                "pair": [labels[o.i], labels[o.j]],
-                "p_greater": float(o.p_greater),
+                "pair": [W.labels[o.i], W.labels[o.j]],
+                "p_greater": o.p_greater,
                 "relation": o.relation,
-                "confidence": float(o.confidence),
+                "confidence": o.confidence,
                 "equal_region": o.in_equal_region,
             }
         )
     results = {
         "test": ranking.test,
-        "labels": list(labels),
+        "labels": list(W.labels),
         "mc_samples": ranking.mc_samples,
         "seed": ranking.seed,
         "orderings": orderings,
@@ -273,7 +266,6 @@ def cmd_rank(config: RunConfig) -> Report:
 
 def cmd_cluster(config: RunConfig) -> Report:
     W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
-    labels = _labels(W)
 
     def model_dict(model):
         return {
@@ -281,7 +273,7 @@ def cmd_cluster(config: RunConfig) -> Report:
             "centroids": model.centroids.tolist(),
             "centroid_sums": model.centroid_sums.tolist(),
             "assignments": model.assignments.tolist(),
-            "inertia": float(model.inertia),
+            "inertia": model.inertia,
             "iterations": model.iterations,
             "reseeded_clusters": model.n_reseeds,
         }
@@ -309,7 +301,7 @@ def cmd_cluster(config: RunConfig) -> Report:
                 max_iter=config.max_iter,
             )
             notes.append(BASELINE_WARNING)
-    results = {"labels": list(labels)}
+    results = {"labels": list(W.labels)}
     for key, model in models.items():
         results[key] = model_dict(model)
         if model.n_reseeds:

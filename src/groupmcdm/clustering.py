@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import PriorityMatrix, clr, close
+from .composition import PriorityMatrix, close, closed_exp, clr
 from .errors import DimensionMismatch, InputError, TooManyClusters
 
 AITCHISON = "aitchison"
@@ -176,8 +176,7 @@ def _kmeans(W, o, distance, seed, max_iter, restarts, init_indices) -> ClusterMo
     centroids, assignments, inertia, iterations, trace, reseeds = best
     if distance != EUCLIDEAN:
         # clr means back to the simplex: the closed geometric means
-        centroids = np.exp(centroids - centroids.max(axis=1, keepdims=True))
-        centroids /= centroids.sum(axis=1, keepdims=True)
+        centroids = closed_exp(centroids)
     return ClusterModel(
         centroids=centroids,
         assignments=assignments,

@@ -207,6 +207,13 @@ def clr(values) -> np.ndarray:
     return logs - logs.mean(axis=-1, keepdims=True)
 
 
+def closed_exp(x: np.ndarray) -> np.ndarray:
+    """Inverse of clr: exp of (..., n) log-space coordinates, closed per row.
+
+    Rows are shifted by their maximum first, so no part overflows."""
+    return _closed(np.exp(x - x.max(axis=-1, keepdims=True)))
+
+
 def pair_differences(x: np.ndarray) -> np.ndarray:
     """Map (..., n) log-space coordinates to (..., n(n-1)/2) differences.
 
@@ -262,7 +269,7 @@ def inverse_log_ratio(v, labels=None, tol: float = CONSISTENCY_TOL) -> Compositi
     violation = consistency_violation(xi)
     if violation > tol:
         raise InconsistentLogRatios(violation, tol)
-    return Composition(np.exp(xi[:, 0]), labels)
+    return Composition(closed_exp(xi[:, 0]), labels)
 
 
 def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Composition:
@@ -283,7 +290,7 @@ def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Compos
     violation = consistency_violation(e)
     if violation > tol:
         raise InconsistentArray(violation, tol)
-    return Composition(np.exp(e[:, 0]), labels)
+    return Composition(closed_exp(e[:, 0]), labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,6 +332,7 @@ def is_fully_consistent(m, tol: float) -> bool:
     The check is relative: |m_ij - m_ih * m_hj| <= tol * m_ij for all i, h, j.
     """
     values = m.values if isinstance(m, Pcm) else Pcm(m).values
-    # P[i, h, j] = m[i, h] * m[h, j]
-    through = values[:, :, None] * values[None, :, :]
-    return bool(np.all(np.abs(through - values[:, None, :]) <= tol * values[:, None, :]))
+    bound = tol * values
+    # one middle index h at a time: (n, n) temporaries instead of (n, n, n)
+    return all(np.all(np.abs(values[:, h, None] * values[h] - values) <= bound)
+               for h in range(values.shape[0]))

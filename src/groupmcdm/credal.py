@@ -13,11 +13,13 @@ ln(W_ki / W_kj).
 * ``sign_test``: beta-binomial posterior from win/loss counts.
 * ``credal_ranking``: one credal ordering per criterion pair.
 
+Both tests score (min(i, j), max(i, j)) and complement a reversed pair, so
+for either test the pair call equals ``credal_ranking(...).ordering(i, j)``.
+
 Determinism: the Bayesian test's Dirichlet weights index the DMs, not the
 criterion pairs, so a panel makes one draw of S weight vectors from
 ``default_rng(seed)`` and scores every pair against it. A pair's posterior
-thus depends only on its log-ratios, the seed, S and the prior:
-``credal_ranking`` and ``bayesian_signed_rank`` agree on it exactly, and
+thus depends only on its log-ratios, the seed, S and the prior, and
 relabelling the criteria permutes the ranking exactly.
 """
 
@@ -149,6 +151,7 @@ def _walsh_sign_posteriors(V: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     V (K+1, pairs) holds each pair's log-ratios below the pseudo-observation
     0; g (S, K+1) holds the draws. stat = sum_{a<=b} g_a g_b sign(v_a + v_b).
+    The matrix form signs all pairs at once: pass at most _BLOCK // (m(m+1)/2).
     Counting exact zeros as one half maps all-equal data to 0.5 and makes the
     posteriors of V and -V sum to exactly 1.
     """
@@ -157,17 +160,16 @@ def _walsh_sign_posteriors(V: np.ndarray, g: np.ndarray) -> np.ndarray:
     if m <= _MATRIX_FORM_MAX:
         a, b = np.triu_indices(m)
         step = max(1, _BLOCK // a.size)
-        for q in range(0, V.shape[1], step):
-            # fancy indexing copies; the in-place steps keep one fewer
-            # temporary alive, which shows in the resident memory of `rank`
-            signs = V[a, q:q + step]
-            signs += V[b, q:q + step]
-            np.sign(signs, out=signs)
-            for s in range(0, S, step):
-                weights = g[s:s + step, a]
-                weights *= g[s:s + step, b]
-                stat = weights @ signs
-                wins[q:q + step] += (stat > 0).sum(axis=0) + 0.5 * (stat == 0).sum(axis=0)
+        # fancy indexing copies; the in-place steps keep one fewer
+        # temporary alive, which shows in the resident memory of `rank`
+        signs = V[a]
+        signs += V[b]
+        np.sign(signs, out=signs)
+        for s in range(0, S, step):
+            weights = g[s:s + step, a]
+            weights *= g[s:s + step, b]
+            stat = weights @ signs
+            wins += (stat > 0).sum(axis=0) + 0.5 * (stat == 0).sum(axis=0)
         return wins / S
     # twice stat: each a weighs the g-mass above -v_a minus the mass below it,
     # read off prefix sums of g in ascending order of v
@@ -240,31 +242,29 @@ def sign_test(
 ) -> CredalOrdering:
     """Beta-binomial comparison from per-DM win counts.
 
-    With s DMs favoring i and f favoring j (ties excluded from both counts),
-    the confidence that i outweighs j is P(p > 1/2) under
+    The pair is scored as (lo, hi) = (min(i, j), max(i, j)): with s DMs
+    favoring lo and f favoring hi (ties excluded from both counts), the
+    confidence that lo outweighs hi is P(p > 1/2) under
     Beta(prior_a + s, prior_b + f), evaluated with the regularized incomplete
-    beta function. With a symmetric prior the two directions of a pair are
-    exact complements.
+    beta function. The prior thus belongs to the lower-indexed criterion, as
+    in ``credal_ranking``, and a reversed pair gets the exact complement.
 
     This is the only function that imports scipy (``scipy.special.betainc``),
     and only when called, so other commands and library calls load numpy
     alone.
     """
-    # imported on use: loading it takes longer than a CLI run without it
     from scipy.special import betainc
 
     if i == j:
         raise InputError("need two distinct criteria")
     if not (prior_a > 0 and prior_b > 0):
         raise InputError("beta prior parameters must be positive")
-    s = int((W.values[:, i] > W.values[:, j]).sum())
-    f = int((W.values[:, i] < W.values[:, j]).sum())
-    if prior_a == prior_b and i > j:
-        # mirror of the canonical (j, i) computation, exact complement
-        p = 1.0 - betainc(prior_b + s, prior_a + f, 0.5)
-    else:
-        # P(Beta(a + s, b + f) > 1/2) = I_{1/2}(b + f, a + s)
-        p = float(betainc(prior_b + f, prior_a + s, 0.5))
+    lo, hi = (i, j) if i < j else (j, i)
+    s = int((W.values[:, lo] > W.values[:, hi]).sum())
+    f = int((W.values[:, lo] < W.values[:, hi]).sum())
+    # P(Beta(a + s, b + f) > 1/2) = I_{1/2}(b + f, a + s)
+    p_lo = float(betainc(prior_b + f, prior_a + s, 0.5))
+    p = p_lo if i == lo else 1.0 - p_lo
     return CredalOrdering(i=i, j=j, p_greater=p, test=SIGN_TEST)
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupmcdm.cli import (
     COMMANDS,
@@ -515,17 +519,123 @@ def test_json_layout_matches_dataclass_dump(argv, example_csv):
     assert report.to_json() == expected
 
 
-def test_import_does_not_load_scipy():
+def test_import_does_not_load_scipy(example_csv):
     # scipy is imported only by the sign test; loading it costs more than the
-    # rest of a CLI run
+    # rest of a CLI run. Every other subcommand runs before the modules are listed.
     src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = [
+        ["aggregate", "--method", "awgmm"],
+        ["describe"],
+        ["rank", "--seed", "1", "--mc-samples", "1000"],
+        ["cluster", "--clusters", "2", "--seed", "1"],
+    ]
     code = (
-        "import sys, groupmcdm, groupmcdm.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import contextlib, io, sys, groupmcdm\n"
+        "from groupmcdm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main([*argv, '--input', {example_csv!r}]) for argv in {runs!r}]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "[0, 0, 0, 0] []"
+
+
+# two DMs whose first weight is subnormal: every readout must shift before exp
+SUBNORMAL_ROWS = [[1e-320, 0.5, 0.5], [1e-320, 0.3, 0.7]]
+SUBCOMMANDS = [
+    ["aggregate", "--method", "amm"],
+    ["aggregate", "--method", "gmm"],
+    ["aggregate", "--method", "awgmm"],
+    ["describe"],
+    ["rank", "--seed", "1", "--mc-samples", "1000"],
+    ["rank", "--test", "sign"],
+    ["cluster", "--clusters", "2", "--seed", "1", "--with-baseline"],
+    ["cluster", "--clusters", "2", "--seed", "1", "--distance", "madc"],
+]
+
+
+def csv_text(rows):
+    lines = [",".join(f"c{i + 1}" for i in range(len(rows[0])))]
+    lines += [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS)
+def test_subnormal_weights_accepted_by_every_subcommand(argv, tmp_path):
+    path = write_csv(tmp_path / "subnormal.csv", csv_text(SUBNORMAL_ROWS))
+    code, out, err = run_in_process([*argv, "--input", path])
+    assert (code, err) == (0, "")
+    if argv[0] == "aggregate":
+        weights = json.loads(out)["results"]["weights"]["values"]
+        assert 0.0 < weights[0] < 1e-300 and sum(weights) == pytest.approx(1.0)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+FORMATS = {"aggregate": ("json", "text"), "describe": ("json", "text"),
+           "rank": ("json", "text", "dot"), "cluster": ("json", "text")}
+# few distinct values per panel, so ties and duplicate rows are common
+WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-320, 1e-6, 1.0, 1e300]),
+    st.floats(min_value=1e-320, max_value=1e300, allow_subnormal=True),
+)
+PRIORS = st.sampled_from(["0.5", "1", "3"])
+
+
+@st.composite
+def cli_cases(draw):
+    n = draw(st.integers(2, 8))
+    pool = draw(st.lists(WEIGHTS, min_size=1, max_size=6))
+    cells = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    rows = draw(st.lists(cells, min_size=1, max_size=6))
+    command = draw(st.sampled_from(sorted(FORMATS)))
+    argv = [command, "--format", draw(st.sampled_from(FORMATS[command])),
+            "--zero-policy", draw(st.sampled_from(["reject", "replace:1e-6"]))]
+    if command == "aggregate":
+        argv += ["--method", draw(st.sampled_from(["amm", "gmm", "awgmm"]))]
+    elif command == "rank" and draw(st.booleans()):
+        argv += ["--test", "sign", "--prior-a", draw(PRIORS), "--prior-b", draw(PRIORS)]
+    elif command == "rank":
+        argv += ["--seed", "0", "--mc-samples", "1000"]
+    elif command == "cluster":
+        argv += ["--clusters", str(draw(st.integers(1, 3))), "--seed", "0",
+                 "--restarts", "2", "--distance", draw(st.sampled_from(["aitchison", "madc"]))]
+        if draw(st.booleans()):
+            argv.append("--with-baseline")
+    return rows, argv
+
+
+@given(case=cli_cases(), exits=st.just((0, 2, 3)))
+@example(case=(SUBNORMAL_ROWS, ["aggregate", "--method", "gmm"]), exits=(0,))
+@example(case=(SUBNORMAL_ROWS, ["aggregate", "--method", "awgmm"]), exits=(0,))
+@example(case=(SUBNORMAL_ROWS, ["describe"]), exits=(0,))
+@settings(max_examples=120, deadline=None)
+def test_cli_contract(case, exits, tmp_path_factory):
+    # a report on stdout and nothing on stderr, or an error line and exit 2 or 3
+    rows, argv = case
+    path = write_csv(tmp_path_factory.mktemp("contract") / "panel.csv", csv_text(rows))
+    code, out, err = run_in_process([*argv, "--input", path])
+    assert code in exits
+    if code != 0:
+        assert err.startswith("error:") and out == ""
+    elif "dot" in argv:
+        assert out.startswith("digraph credal {") and err == ""
+    elif "text" in argv:
+        assert out.startswith(f"command: {argv[0]}\n") and err == ""
+    else:
+        json.loads(out, parse_constant=_reject_constant)
+        assert err == ""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from groupmcdm import (
     log_ratio_transform,
 )
 from groupmcdm.composition import (
+    closed_exp,
+    clr,
     consistency_violation,
     dimension_from_pairs,
     expand_log_ratios,
@@ -183,6 +186,36 @@ class TestInverseLogRatio:
             dimension_from_pairs(5)
 
 
+class TestReadoutFromLogSpace:
+    """``inverse_log_ratio`` and ``array_to_composition`` read out through
+    ``closed_exp``, which shifts by the row maximum before exponentiating."""
+
+    READOUTS = (
+        lambda v: inverse_log_ratio(np.array([v])),
+        lambda v: array_to_composition(np.array([[0.0, v], [-v, 0.0]])),
+    )
+
+    def test_large_log_ratio_gives_a_subnormal_part(self):
+        # exp(720) overflows: unshifted, the readout would divide inf by inf
+        for readout in self.READOUTS:
+            c = readout(-720.0)
+            assert 0.0 < c.parts[0] < 1e-312
+            assert c.parts[1] == 1.0
+
+    def test_unrepresentable_part_is_rejected(self):
+        for readout in self.READOUTS:
+            with pytest.raises(InputError, match="entry 0 underflows to 0"):
+                readout(-800.0)
+
+    def test_inverts_clr_row_by_row(self):
+        rng = np.random.default_rng(62)
+        W = rng.dirichlet(np.ones(6), size=40)
+        back = closed_exp(clr(W))
+        np.testing.assert_allclose(back, W, rtol=1e-12, atol=0)
+        for k in range(W.shape[0]):
+            assert np.array_equal(back[k], closed_exp(clr(W[k])))
+
+
 class TestArrayToComposition:
     def test_zero_array_gives_uniform(self):
         c = array_to_composition(np.zeros((3, 3)))
@@ -286,6 +319,40 @@ class TestPcm:
         m[0, 2] = -8.0
         with pytest.raises(NonPositiveEntry):
             Pcm(m)
+
+
+def broadcast_is_fully_consistent(m, tol):
+    """Reference: the (n, n, n) broadcast form of the transitivity check."""
+    through = m[:, :, None] * m[None, :, :]
+    return bool(np.all(np.abs(through - m[:, None, :]) <= tol * m[:, None, :]))
+
+
+class TestPcmConsistencyCheck:
+    def test_loop_equals_broadcast_form(self):
+        rng = np.random.default_rng(63)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            w = rng.uniform(0.1, 10.0, n)
+            m = w[:, None] / w[None, :]
+            if n > 2 and rng.random() < 0.7:
+                # perturb one pair by a relative step around the tolerances
+                i, j = rng.choice(n, size=2, replace=False)
+                m[i, j] *= 1.0 + 10.0 ** rng.uniform(-13, -5)
+                m[j, i] = 1.0 / m[i, j]
+            for tol in (1e-12, 1e-10, 1e-6):
+                assert is_fully_consistent(m, tol) == broadcast_is_fully_consistent(m, tol)
+
+    def test_memory_stays_quadratic(self):
+        w = np.random.default_rng(64).uniform(0.1, 10.0, 200)
+        pcm = Pcm(w[:, None] / w[None, :])
+        tracemalloc.start()
+        try:
+            assert is_fully_consistent(pcm, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n, n, n) product alone would take 64 MB here
+        assert peak < 5e6
 
 
 class TestPriorityMatrix:

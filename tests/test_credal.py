@@ -130,12 +130,19 @@ class TestSignTest:
 
     def test_antisymmetry_is_exact(self):
         rng = np.random.default_rng(33)
-        for _ in range(50):
-            W = random_matrix(rng, int(rng.integers(2, 25)), int(rng.integers(2, 6)))
-            i, j = rng.choice(W.n_criteria, size=2, replace=False)
-            a = sign_test(W, int(i), int(j)).p_greater
-            b = sign_test(W, int(j), int(i)).p_greater
-            assert a + b == 1.0
+        for prior in ((1.0, 1.0), (3.0, 1.0)):
+            for _ in range(50):
+                W = random_matrix(rng, int(rng.integers(2, 25)), int(rng.integers(2, 6)))
+                i, j = rng.choice(W.n_criteria, size=2, replace=False)
+                a = sign_test(W, int(i), int(j), *prior).p_greater
+                b = sign_test(W, int(j), int(i), *prior).p_greater
+                assert a + b == 1.0
+
+    def test_prior_belongs_to_the_lower_indexed_criterion(self):
+        # one DM favours c1, three tie: P(Beta(3 + 1, 1 + 0) > 1/2) = 1 - 2^-4
+        W = PriorityMatrix(np.array([[0.6, 0.4]] + [[0.5, 0.5]] * 3))
+        assert sign_test(W, 0, 1, 3.0, 1.0).p_greater == 15 / 16
+        assert sign_test(W, 1, 0, 3.0, 1.0).p_greater == 1 / 16
 
     def test_monotone_in_wins(self):
         # fixed losses, growing wins: confidence strictly increases
@@ -350,6 +357,18 @@ class TestSharedStream:
                 for j in range(n):
                     if i != j:
                         single = bayesian_signed_rank(W, i, j, seed=17, mc_samples=1000)
+                        assert ranking.ordering(i, j).p_greater == single.p_greater
+
+    @pytest.mark.parametrize("prior", [(1.0, 1.0), (3.0, 1.0), (0.5, 3.0), (1e-3, 1e6)])
+    def test_sign_ranking_equals_single_pair_test(self, prior):
+        rng = np.random.default_rng(93)
+        tied = PriorityMatrix(rng.integers(1, 4, size=(9, 4)).astype(float))
+        for W in (random_matrix(rng, 7, 5), tied):
+            ranking = credal_ranking(W, test="sign", prior_a=prior[0], prior_b=prior[1])
+            for i in range(W.n_criteria):
+                for j in range(W.n_criteria):
+                    if i != j:
+                        single = sign_test(W, i, j, *prior)
                         assert ranking.ordering(i, j).p_greater == single.p_greater
 
     @given(
