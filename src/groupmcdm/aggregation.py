@@ -30,7 +30,7 @@ from .composition import (
     inverse_log_ratio,
     pair_differences,
 )
-from .errors import InsufficientSamples, InputError, WeightDimensionMismatch
+from .errors import InsufficientSamples, InputError, NumericError, WeightDimensionMismatch
 
 AMM = "amm"
 GMM = "gmm"
@@ -94,6 +94,21 @@ def aggregate_amm(W: PriorityMatrix) -> AggregationResult:
     )
 
 
+def _dm_weights(W: PriorityMatrix, dm_weights) -> np.ndarray:
+    """``dm_weights`` as floats, checked to hold one weight per DM of ``W``."""
+    lam = np.asarray(dm_weights, dtype=float)
+    if lam.shape != (W.n_dms,):
+        raise WeightDimensionMismatch(f"{lam.size} weights for {W.n_dms} decision-makers")
+    return lam
+
+
+def _converged(result: AggregationResult) -> AggregationResult:
+    """``result``, or NumericError when its iteration stopped at max_iter."""
+    if not result.converged:
+        raise NumericError(f"AWGMM did not converge within {result.iterations} iterations")
+    return result
+
+
 def build_average_array(
     W: PriorityMatrix,
     estimator: str = MEAN,
@@ -119,12 +134,7 @@ def build_average_array(
     elif estimator == WEIGHTED:
         if dm_weights is None:
             raise WeightDimensionMismatch("weighted estimator needs dm_weights")
-        lam = np.asarray(dm_weights, dtype=float)
-        if lam.shape != (W.n_dms,):
-            raise WeightDimensionMismatch(
-                f"{lam.size} weights for {W.n_dms} decision-makers"
-            )
-        g = lam @ clr(W.values)
+        g = _dm_weights(W, dm_weights) @ clr(W.values)
     else:
         raise InputError(f"unknown estimator {estimator!r}")
     return g[:, None] - g

@@ -148,7 +148,10 @@ class Report:
     def to_json(self) -> str:
         # the held dicts are plain data already: no copy before dumping
         plain = {"config": self.config, "results": self.results, "warnings": self.warnings}
-        return json.dumps(plain, sort_keys=True, indent=2) + "\n"
+        try:
+            return json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:  # NaN or infinity is not JSON
+            raise NumericError(f"non-finite value in the report: {exc}") from None
 
     def to_text(self) -> str:
         lines = [f"command: {self.config['command']}"]
@@ -158,9 +161,16 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def to_dot(self) -> str:
-        if "orderings" not in self.results:
-            raise InputError("dot output is only available for the rank command")
-        return _render_dot(self.results)
+        lines = ["digraph credal {"]
+        for label in self.results["labels"]:
+            lines.append(f"  {_dot_id(label)};")
+        for o in self.results["orderings"]:
+            a, b = map(_dot_id, o["pair"])
+            src, dst = (a, b) if o["p_greater"] >= 0.5 else (b, a)
+            style = ", style=dashed" if o["equal_region"] else ""
+            lines.append(f'  {src} -> {dst} [label="{o["confidence"]:.2f}"{style}];')
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
 
 def cmd_aggregate(config: RunConfig) -> Report:
@@ -185,7 +195,7 @@ def cmd_aggregate(config: RunConfig) -> Report:
                 tol=config.tol,
                 sigma_denominator=config.sigma_denominator,
             )
-            result = aggregation.aggregate_awgmm(W, opts)
+            result = aggregation._converged(aggregation.aggregate_awgmm(W, opts))
     else:
         raise InputError(f"unknown aggregation method {config.method!r}")
 
@@ -194,10 +204,6 @@ def cmd_aggregate(config: RunConfig) -> Report:
         "weights": {"labels": list(W.labels), "values": result.weights.parts.tolist()},
     }
     if result.method == aggregation.AWGMM:
-        if not result.converged:
-            raise NumericError(
-                f"AWGMM did not converge within {config.max_iter} iterations"
-            )
         lam = result.dm_weights
         deviants = [k + 1 for k, v in enumerate(lam) if v < config.deviant_threshold]
         results.update(
@@ -316,8 +322,12 @@ def _fmt(x: float) -> str:
 
 
 def _text_table(columns, rows) -> list:
-    """Right-aligned table; ``rows`` holds (row label, formatted cells) pairs."""
-    width = max(8, max(len(str(c)) for c in columns) + 1)
+    """Right-aligned table; ``rows`` holds (row label, formatted cells) pairs.
+
+    Columns are one wider than the longest label or cell, so cells never touch.
+    """
+    width = 1 + max(7, *(len(str(c)) for c in columns),
+                    *(len(c) for _, cells in rows for c in cells))
     lines = [" " * width + "".join(f"{c:>{width}}" for c in columns)]
     for label, cells in rows:
         lines.append(f"{label:<{width}}" + "".join(f"{c:>{width}}" for c in cells))
@@ -349,7 +359,7 @@ def _text_body(results) -> list:
         labels = results["labels"]
         for name, arrays in results["ad_arrays"].items():
             lines.append(f"AD array ({name}); averages above diagonal, deviations below:")
-            rows = [(l, map(_fmt, row)) for l, row in zip(labels, arrays["combined"])]
+            rows = [(l, [*map(_fmt, row)]) for l, row in zip(labels, arrays["combined"])]
             lines.extend(_text_table(labels, rows))
     if "orderings" in results:
         lines.append(f"test: {results['test']}")
@@ -380,19 +390,6 @@ def _text_body(results) -> list:
 def _dot_id(label: str) -> str:
     """A label as a quoted DOT identifier."""
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _render_dot(results) -> str:
-    lines = ["digraph credal {"]
-    for label in results["labels"]:
-        lines.append(f"  {_dot_id(label)};")
-    for o in results["orderings"]:
-        a, b = map(_dot_id, o["pair"])
-        src, dst = (a, b) if o["p_greater"] >= 0.5 else (b, a)
-        style = ", style=dashed" if o["equal_region"] else ""
-        lines.append(f'  {src} -> {dst} [label="{o["confidence"]:.2f}"{style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -502,15 +499,9 @@ def main(argv=None) -> int:
             sys.stdout.write(report.to_dot())
         else:
             sys.stdout.write(report.to_text())
-    except InputError as exc:
+    except GroupMcdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GroupMcdmError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
     return 0
 
 

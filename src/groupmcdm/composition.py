@@ -41,14 +41,10 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(r[:, None] < r)
 
 
-def num_pairs(n: int) -> int:
-    return n * (n - 1) // 2
-
-
 def dimension_from_pairs(m: int) -> int:
     """Invert m = n(n-1)/2; raises DimensionMismatch if m is not of that form."""
     n = int((1 + np.sqrt(1 + 8 * m)) / 2 + 0.5)
-    if n < 2 or num_pairs(n) != m:
+    if n < 2 or n * (n - 1) // 2 != m:
         raise DimensionMismatch(
             f"length {m} is not n(n-1)/2 for any integer n >= 2"
         )
@@ -91,6 +87,16 @@ def _closed(parts: np.ndarray) -> np.ndarray:
     return closed
 
 
+def _labels(labels, n: int, what: str) -> tuple[str, ...] | None:
+    """``labels`` as a tuple of n strings naming the ``what``; None stays None."""
+    if labels is None:
+        return None
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != n:
+        raise DimensionMismatch(f"{len(labels)} labels for {n} {what}")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class Composition:
     """A strictly positive vector closed to unit sum.
@@ -115,13 +121,7 @@ class Composition:
         parts = _closed(_validated_parts(self.parts))
         parts.flags.writeable = False
         object.__setattr__(self, "parts", parts)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != parts.size:
-                raise DimensionMismatch(
-                    f"{len(labels)} labels for {parts.size} parts"
-                )
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(self.labels, parts.size, "parts"))
 
     @property
     def n(self) -> int:
@@ -163,13 +163,7 @@ class PriorityMatrix:
         values = _closed(_validated_parts(values, ndim=2))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != values.shape[1]:
-                raise DimensionMismatch(
-                    f"{len(labels)} labels for {values.shape[1]} criteria"
-                )
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(self.labels, values.shape[1], "criteria"))
 
     @classmethod
     def from_rows(cls, rows) -> "PriorityMatrix":
@@ -253,6 +247,15 @@ def consistency_violation(xi: np.ndarray) -> float:
                          for h in range(xi.shape[0])]))
 
 
+def _consistent_readout(xi: np.ndarray, labels, tol: float, error) -> Composition:
+    """The closed exp of column 0 of ``xi``; ``error(violation, tol)`` is raised
+    when ``xi`` is not additively consistent within ``tol``."""
+    violation = consistency_violation(xi)
+    if violation > tol:
+        raise error(violation, tol)
+    return Composition(closed_exp(xi[:, 0]), labels)
+
+
 def inverse_log_ratio(v, labels=None, tol: float = CONSISTENCY_TOL) -> Composition:
     """Recover the composition whose pairwise log-ratios are ``v``.
 
@@ -265,11 +268,7 @@ def inverse_log_ratio(v, labels=None, tol: float = CONSISTENCY_TOL) -> Compositi
     InconsistentLogRatios
         If the consistency violation exceeds ``tol``.
     """
-    xi = expand_log_ratios(v)
-    violation = consistency_violation(xi)
-    if violation > tol:
-        raise InconsistentLogRatios(violation, tol)
-    return Composition(closed_exp(xi[:, 0]), labels)
+    return _consistent_readout(expand_log_ratios(v), labels, tol, InconsistentLogRatios)
 
 
 def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Composition:
@@ -287,10 +286,7 @@ def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Compos
     anti = float(np.max(np.abs(e + e.T)))
     if anti > tol:
         raise InconsistentArray(anti, tol, what="antisymmetry")
-    violation = consistency_violation(e)
-    if violation > tol:
-        raise InconsistentArray(violation, tol)
-    return Composition(closed_exp(e[:, 0]), labels)
+    return _consistent_readout(e, labels, tol, InconsistentArray)
 
 
 @dataclass(frozen=True, eq=False)

@@ -84,7 +84,7 @@ def signed_rank_summary(W: PriorityMatrix, i: int, j: int) -> SignedRankSummary:
     """
     if i == j:
         raise InputError("need two distinct criteria")
-    lr = np.log(W.values[:, i] / W.values[:, j])
+    lr = np.log(W.values[:, i]) - np.log(W.values[:, j])
     keep = lr != 0.0
     if not keep.any():
         raise AllZeroRatios(f"criteria {i} and {j} tie for every decision-maker")
@@ -92,7 +92,7 @@ def signed_rank_summary(W: PriorityMatrix, i: int, j: int) -> SignedRankSummary:
     signed = np.zeros(W.n_dms)
     signed[keep] = ranks * np.sign(lr[keep])
     r_plus = float(signed[signed > 0].sum())
-    r_minus = float(-signed[signed < 0].sum())
+    r_minus = float((-signed[signed < 0]).sum())
     return SignedRankSummary(
         i=i,
         j=j,

@@ -16,6 +16,8 @@ from .aggregation import (
     MEDIAN,
     WEIGHTED,
     AwgmmOptions,
+    _converged,
+    _dm_weights,
     aggregate_awgmm,
     build_average_array,
 )
@@ -81,11 +83,7 @@ def deviation_array_robust(W: PriorityMatrix, dm_weights, xi) -> DeviationArray:
     the unit-sum weights from the robust aggregation and ``xi`` the matching
     weighted average array, read above the diagonal.
     """
-    lam = np.asarray(dm_weights, dtype=float)
-    if lam.shape != (W.n_dms,):
-        raise WeightDimensionMismatch(
-            f"{lam.size} weights for {W.n_dms} decision-makers"
-        )
+    lam = _dm_weights(W, dm_weights)
     xi = np.asarray(xi, dtype=float)
     n = W.n_criteria
     if xi.shape != (n, n):
@@ -105,7 +103,8 @@ def average_deviation_array(
 
     "mean" pairs the mean array with the sample standard deviation, "median"
     pairs the median array with the MAD, and "awgmm" pairs the DM-weighted
-    array from the robust aggregation with the weighted spread around it.
+    array from the robust aggregation with the weighted spread around it; it
+    raises NumericError when that aggregation stops at ``max_iter`` unconverged.
     """
     if estimator == AD_MEAN:
         xi = build_average_array(W, MEAN)
@@ -114,7 +113,7 @@ def average_deviation_array(
         xi = build_average_array(W, MEDIAN)
         tau = deviation_array_mad(W).tau
     elif estimator == AD_AWGMM:
-        lam = aggregate_awgmm(W, awgmm_options).dm_weights
+        lam = _converged(aggregate_awgmm(W, awgmm_options)).dm_weights
         xi = build_average_array(W, WEIGHTED, dm_weights=lam)
         tau = deviation_array_robust(W, lam, xi).tau
     else:

@@ -156,6 +156,15 @@ class TestGmm:
             aggregate_gmm(shuffled).weights.parts,
         )
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_dm_permutation_invariance_property(self, seed):
+        rng = np.random.default_rng(seed)
+        W = random_matrix(rng, int(rng.integers(2, 12)), int(rng.integers(2, 8)))
+        shuffled = PriorityMatrix(W.values[rng.permutation(W.n_dms)])
+        np.testing.assert_allclose(aggregate_gmm(shuffled).weights.parts,
+                                   aggregate_gmm(W).weights.parts, rtol=0, atol=1e-12)
+
     def test_differs_from_amm_on_example(self, example_matrix):
         amm = aggregate_amm(example_matrix).weights.parts
         gmm = aggregate_gmm(example_matrix).weights.parts
@@ -247,6 +256,19 @@ class TestAwgmm:
         b = aggregate_awgmm(shuffled)
         np.testing.assert_allclose(a.weights.parts, b.weights.parts, atol=1e-12)
         np.testing.assert_allclose(a.dm_weights[perm], b.dm_weights, atol=1e-12)
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_dm_permutation_invariance_property(self, seed):
+        # the verdict and weights stay; the DM weights permute with the rows
+        rng = np.random.default_rng(seed)
+        W = random_matrix(rng, int(rng.integers(2, 12)), int(rng.integers(2, 8)))
+        perm = rng.permutation(W.n_dms)
+        a = aggregate_awgmm(W)
+        b = aggregate_awgmm(PriorityMatrix(W.values[perm]))
+        assert a.converged == b.converged
+        np.testing.assert_allclose(b.weights.parts, a.weights.parts, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.dm_weights, a.dm_weights[perm], rtol=0, atol=1e-12)
 
     def test_sigma_trace_recorded(self, example_matrix):
         result = aggregate_awgmm(example_matrix)

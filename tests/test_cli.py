@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -228,6 +229,27 @@ class TestDescribeCommand:
         )
         assert code == 0
         assert "averages above diagonal" in out
+
+    def test_unconverged_awgmm_exits_3_as_aggregate_does(self, tmp_path, capsys):
+        # AWGMM converges on this panel at iteration 502, past the default 500
+        path = write_csv(tmp_path / "w.csv", "c1,c2,c3\n0.6903,0.1918,0.1179\n"
+                         "0.6092,0.01309,0.3777\n0.2379,0.5797,0.1824\n")
+        expected = (3, "", "error: AWGMM did not converge within 500 iterations\n")
+        for argv in (["aggregate", "--method", "awgmm"], ["describe"]):
+            assert run_cli(capsys, *argv, "--input", path) == expected
+
+    def test_text_cells_stay_apart(self, tmp_path, capsys):
+        # log-ratios near -736 format wider than the column labels
+        path = write_csv(tmp_path / "w.csv", csv_text([*SUBNORMAL_ROWS, [2e-320, 0.6, 0.4]]))
+        code, out, _ = run_cli(capsys, "describe", "--input", path, "--format", "text")
+        assert code == 0
+        labels = ["c1", "c2", "c3"]
+        # a header line starts with blanks; a row line with its label
+        rows = [line.split() for line in out.splitlines() if line[:2] in labels]
+        assert len(rows) == 9  # three rows in each of the three tables
+        for tokens in rows:
+            assert len(tokens) == len(labels) + 1
+            assert all(math.isfinite(float(cell)) for cell in tokens[1:])
 
     def test_random_file_matches_module_oracles(self, tmp_path, capsys):
         from groupmcdm import PriorityMatrix, average_deviation_array
@@ -517,6 +539,57 @@ def test_json_layout_matches_dataclass_dump(argv, example_csv):
     report = COMMANDS[args.command](_config_from_args(args))
     expected = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
     assert report.to_json() == expected
+
+
+ZEROS = "a,b,c\n0,0.5,0.5\n0.2,0.3,0.5\n0.4,0.4,0.2\n"
+EXAMPLE = (Path(__file__).resolve().parent.parent / "data" / "example_priorities.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, expected",
+    [
+        (ZEROS, ["aggregate", "--zero-policy", "replace"], 0,
+         ["replaced 1 zero weight(s) with 1e-06"]),
+        (ZEROS, ["aggregate", "--zero-policy", "replace:abc"], 2,
+         ["error: bad zero policy 'replace:abc'"]),
+        (ZEROS, ["aggregate", "--zero-policy", "replace:0"], 2,
+         ["error: zero replacement eps must be positive"]),
+        (ZEROS, ["aggregate", "--zero-policy", "replace", "--seed", "-1"], 2,
+         ["error: --seed must be non-negative"]),
+        ("", ["aggregate"], 2, ["error: empty file"]),
+        ("a\n1\n", ["aggregate"], 2,
+         ["error: line 1: header must name at least two criteria"]),
+        (EXAMPLE, ["aggregate", "--method", "awgmm", "--format", "text"], 0,
+         ["\ndm_weights: DM1=0.256  DM2=0.263  DM3=0.000  DM4=0.233  DM5=0.249\n",
+          "\niterations: 11\n", "\ndeviants: DM3\n"]),
+        (EXAMPLE, ["cluster", "--clusters", "2", "--seed", "1", "--format", "text"], 0,
+         ["\ncompositional K-means (aitchison), inertia 0.341369:\n",
+          "\nassignments: 0 0 1 0 0\n"]),
+    ],
+    ids=["replace", "replace-not-a-number", "replace-zero", "negative-seed", "empty-file",
+         "one-label", "awgmm-text", "cluster-text"],
+)
+def test_cli_branches(tmp_path, text, argv, code, expected):
+    path = write_csv(tmp_path / "w.csv", text)
+    got, out, err = run_in_process([*argv, "--input", path])
+    assert got == code
+    for part in expected:
+        assert part in (out if code == 0 else err)
+    assert (err if code == 0 else out) == ""
+
+
+def test_non_finite_result_exits_3_with_nothing_on_stdout(monkeypatch, example_csv):
+    describe = COMMANDS["describe"]
+
+    def with_nan(config):
+        report = describe(config)
+        report.results["ad_arrays"]["mean"]["xi"][0][1] = math.nan
+        return report
+
+    monkeypatch.setitem(COMMANDS, "describe", with_nan)
+    code, out, err = run_in_process(["describe", "--input", example_csv])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: non-finite value in the report")
 
 
 def test_import_does_not_load_scipy(example_csv):

@@ -101,6 +101,16 @@ class TestDistances:
             madc_distance(a.parts[perm], b.parts[perm]), abs=1e-12
         )
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_common_criterion_permutation_keeps_both_distances(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        a, b = rng.dirichlet(np.ones(n), size=2) + 1e-9
+        perm = rng.permutation(n)
+        for distance in (aitchison_distance, madc_distance):
+            assert distance(a[perm], b[perm]) == pytest.approx(distance(a, b), abs=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             aitchison_distance(close([0.5, 0.5]), close([0.3, 0.3, 0.4]))
@@ -123,6 +133,15 @@ def log_space_lloyd(reprs, init_idx, max_iter=300):
             assert members.size, "oracle hit an empty cluster; pick another fixture"
             centroids[c] = members.mean(axis=0)
     return centroids, assignments
+
+
+@pytest.mark.parametrize("init", [(0,), (0, 1, 2), (0, 5), (-1, 0)],
+                         ids=["short", "long", "past-the-end", "negative"])
+def test_init_indices_validated(init):
+    W = PriorityMatrix(np.array([[0.2, 0.8], [0.5, 0.5], [0.7, 0.3], [0.9, 0.1], [0.4, 0.6]]))
+    for fit in (kmeans_compositional, kmeans_standard_baseline):
+        with pytest.raises(InputError, match="init_indices"):
+            fit(W, 2, seed=0, init_indices=init)
 
 
 class TestKmeansCompositional:

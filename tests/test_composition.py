@@ -321,6 +321,22 @@ class TestPcm:
             Pcm(m)
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: close(np.ones((2, 3))), DimensionMismatch),
+        (lambda: PriorityMatrix(EXAMPLE_W, labels=("a", "b", "c")), DimensionMismatch),
+        (lambda: array_to_composition(np.zeros((2, 3))), DimensionMismatch),
+        (lambda: array_to_composition(np.zeros((1, 1))), DimensionTooSmall),
+        (lambda: Pcm(np.ones((2, 3))), DimensionMismatch),
+    ],
+    ids=["close-2d", "matrix-labels", "array-not-square", "array-1x1", "pcm-not-square"],
+)
+def test_shape_errors(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def broadcast_is_fully_consistent(m, tol):
     """Reference: the (n, n, n) broadcast form of the transitivity check."""
     through = m[:, :, None] * m[None, :, :]

@@ -101,6 +101,16 @@ class TestSignedRankSummary:
         with pytest.raises(InputError):
             signed_rank_summary(two_criteria_matrix, 1, 1)
 
+    def test_subnormal_weights_rank_on_finite_log_ratios(self):
+        # a quotient of weights overflows here; a difference of logs does not
+        W = PriorityMatrix(np.array([[1e-320, 0.5, 0.5], [1e-320, 0.3, 0.7],
+                                     [2e-320, 0.6, 0.4]]))
+        s = signed_rank_summary(W, 1, 0)
+        assert np.all(np.isfinite(s.log_ratios)) and np.all(s.log_ratios > 735)
+        np.testing.assert_array_equal(s.ranks, [3.0, 1.5, 1.5])
+        assert (s.r_plus, s.r_minus) == (6.0, 0.0)
+        assert math.copysign(1.0, s.r_minus) == 1.0  # +0.0, not -0.0
+
     def test_frequentist_crosscheck(self, two_criteria_matrix):
         # K = 15: the 5% two-sided critical value for T is 25; T = 12 rejects,
         # agreeing in direction with the Bayesian confidence below
@@ -152,6 +162,10 @@ class TestSignTest:
             W = PriorityMatrix(np.array(rows))
             ds.append(sign_test(W, 0, 1).p_greater)
         assert all(b > a for a, b in zip(ds, ds[1:]))
+
+    def test_same_criterion_rejected(self, two_criteria_matrix):
+        with pytest.raises(InputError):
+            sign_test(two_criteria_matrix, 1, 1)
 
     def test_prior_validation(self, two_criteria_matrix):
         with pytest.raises(InputError):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupmcdm import (
+    AwgmmOptions,
     PriorityMatrix,
     aggregate_awgmm,
     average_deviation_array,
@@ -14,9 +15,19 @@ from groupmcdm import (
     deviation_array_robust,
     deviation_array_std,
 )
-from groupmcdm.errors import InputError, InsufficientSamples, WeightDimensionMismatch
+from groupmcdm.errors import (
+    InputError,
+    InsufficientSamples,
+    NumericError,
+    WeightDimensionMismatch,
+)
 
 from conftest import EXAMPLE_W, random_matrix
+
+
+# three DMs on which AWGMM converges at iteration 502, past the default 500
+SLOW_AWGMM = np.array([[0.6903, 0.1918, 0.1179], [0.6092, 0.01309, 0.3777],
+                       [0.2379, 0.5797, 0.1824]])
 
 
 def pair_column(values, i, j):
@@ -136,6 +147,12 @@ class TestRobust:
         with pytest.raises(WeightDimensionMismatch):
             deviation_array_robust(example_matrix, [0.5, 0.5], xi)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (16,)])
+    def test_average_array_shape_checked(self, example_matrix, shape):
+        lam = np.full(5, 0.2)
+        with pytest.raises(WeightDimensionMismatch, match="average array shape"):
+            deviation_array_robust(example_matrix, lam, np.zeros(shape))
+
 
 class TestAverageDeviationArray:
     def test_mean_pairs_mean_with_std(self, example_matrix):
@@ -184,6 +201,36 @@ class TestAverageDeviationArray:
         with pytest.raises(InputError):
             average_deviation_array(example_matrix, "trimmed")
 
+    def test_unconverged_awgmm_is_a_numeric_error(self):
+        # this panel needs 502 iterations; stopping at 500 would give DM
+        # weights that are not the estimator's
+        W = PriorityMatrix(SLOW_AWGMM)
+        assert not aggregate_awgmm(W).converged
+        with pytest.raises(NumericError, match="did not converge within 500 iterations"):
+            average_deviation_array(W, "awgmm")
+        opts = AwgmmOptions(max_iter=1000)
+        got = average_deviation_array(W, "awgmm", awgmm_options=opts)
+        lam = aggregate_awgmm(W, opts).dm_weights
+        np.testing.assert_array_equal(
+            got.xi, build_average_array(W, "weighted", dm_weights=lam))
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_dm_permutation_leaves_every_ad_array(self, seed):
+        rng = np.random.default_rng(seed)
+        W = random_matrix(rng, int(rng.integers(2, 10)), int(rng.integers(2, 7)))
+        shuffled = PriorityMatrix(W.values[rng.permutation(W.n_dms)])
+        for estimator in ("mean", "median", "awgmm"):
+            try:
+                ad = average_deviation_array(W, estimator)
+            except NumericError:
+                with pytest.raises(NumericError):
+                    average_deviation_array(shuffled, estimator)
+                continue
+            got = average_deviation_array(shuffled, estimator)
+            np.testing.assert_allclose(got.xi, ad.xi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.tau, ad.tau, rtol=0, atol=1e-12)
+
     def test_estimator_tags(self, example_matrix):
         assert average_deviation_array(example_matrix, "mean").estimator == "mean"
         assert deviation_array_std(example_matrix).estimator == "std"
@@ -192,6 +239,7 @@ class TestAverageDeviationArray:
 
 class TestCriterionPermutation:
     @given(st.integers(min_value=0, max_value=10_000))
+    @example(73)  # AWGMM stops unconverged at 500 iterations, permuted or not
     @settings(max_examples=30, deadline=None)
     def test_every_ad_array_permutes_with_the_criteria(self, seed):
         rng = np.random.default_rng(seed)
@@ -202,7 +250,12 @@ class TestCriterionPermutation:
         rows_cols = np.ix_(perm, perm)
         for estimator, tol in (("mean", 1e-12), ("median", 1e-12), ("awgmm", 1e-8)):
             # awgmm's stopping rule sees the permutation only through rounding
-            ad = average_deviation_array(W, estimator)
+            try:
+                ad = average_deviation_array(W, estimator)
+            except NumericError:
+                with pytest.raises(NumericError):
+                    average_deviation_array(permuted, estimator)
+                continue
             got = average_deviation_array(permuted, estimator)
             np.testing.assert_allclose(got.xi, ad.xi[rows_cols], rtol=0, atol=tol)
             np.testing.assert_allclose(got.tau, ad.tau[rows_cols], rtol=0, atol=tol)
