@@ -29,6 +29,7 @@ from .composition import (
     expand_log_ratios,
     inverse_log_ratio,
     pair_differences,
+    pair_statistic,
 )
 from .errors import InsufficientSamples, InputError, NumericError, WeightDimensionMismatch
 
@@ -128,7 +129,8 @@ def build_average_array(
         Non-negative unit-sum weights, one per DM.
     """
     if estimator == MEDIAN:
-        return expand_log_ratios(np.median(W.log_ratios(), axis=0))
+        return expand_log_ratios(
+            pair_statistic(np.log(W.values), lambda d, _: np.median(d, axis=0)))
     if estimator == MEAN:
         g = clr(W.values).mean(axis=0)
     elif estimator == WEIGHTED:

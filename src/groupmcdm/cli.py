@@ -173,6 +173,11 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _awgmm_options(config: RunConfig) -> aggregation.AwgmmOptions:
+    """The AWGMM knobs of ``config``, for `aggregate` and `describe` alike."""
+    return aggregation.AwgmmOptions(config.max_iter, config.tol, config.sigma_denominator)
+
+
 def cmd_aggregate(config: RunConfig) -> Report:
     W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
     if config.method == aggregation.AMM:
@@ -190,12 +195,8 @@ def cmd_aggregate(config: RunConfig) -> Report:
                 converged=True,
             )
         else:
-            opts = aggregation.AwgmmOptions(
-                max_iter=config.max_iter,
-                tol=config.tol,
-                sigma_denominator=config.sigma_denominator,
-            )
-            result = aggregation._converged(aggregation.aggregate_awgmm(W, opts))
+            result = aggregation._converged(
+                aggregation.aggregate_awgmm(W, _awgmm_options(config)))
     else:
         raise InputError(f"unknown aggregation method {config.method!r}")
 
@@ -224,9 +225,9 @@ def cmd_aggregate(config: RunConfig) -> Report:
 
 def cmd_describe(config: RunConfig) -> Report:
     W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
-    arrays = {}
+    arrays, opts = {}, _awgmm_options(config)
     for estimator in (dispersion.AD_MEAN, dispersion.AD_MEDIAN, dispersion.AD_AWGMM):
-        ad = dispersion.average_deviation_array(W, estimator)
+        ad = dispersion.average_deviation_array(W, estimator, opts)
         arrays[estimator] = {
             "xi": ad.xi.tolist(),
             "tau": ad.tau.tolist(),

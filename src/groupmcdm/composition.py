@@ -7,6 +7,8 @@ pairwise log-ratios ln(w_i / w_j). This module provides the closed (unit-sum)
 composition type, the K-row priority matrix, both transforms, the pairwise
 inverse, the average-array readout, and the multiplicative-transitivity check
 for pairwise comparison matrices.
+Per-pair statistics run through ``pair_statistic``, in blocks of at most
+``PAIR_BLOCK`` elements; ``PriorityMatrix.log_ratios`` is the one-block case.
 
 Pairs are always ordered lexicographically: (0,1), (0,2), ..., (n-2, n-1).
 Every log-ratio vector in the package uses this ordering, so vectors from
@@ -32,6 +34,8 @@ from .errors import (
 CLOSURE_TOL = 1e-12
 #: Tolerance for consistency of iteratively computed arrays.
 CONSISTENCY_TOL = 1e-8
+#: The one block size: elements per temporary of a per-pair statistic.
+PAIR_BLOCK = 1 << 14
 
 
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +191,7 @@ class PriorityMatrix:
         return Composition(self.values[k], self.labels)
 
     def log_ratios(self) -> np.ndarray:
-        """(K, n(n-1)/2) matrix of per-DM pairwise log-ratios."""
+        """(K, n(n-1)/2) matrix of per-DM pairwise log-ratios, in one block."""
         return pair_differences(np.log(self.values))
 
 
@@ -206,6 +210,26 @@ def closed_exp(x: np.ndarray) -> np.ndarray:
 
     Rows are shifted by their maximum first, so no part overflows."""
     return _closed(np.exp(x - x.max(axis=-1, keepdims=True)))
+
+
+def block_width(size: int) -> int:
+    """How many items of ``size`` elements fit in one PAIR_BLOCK; at least 1."""
+    return max(1, PAIR_BLOCK // size)
+
+
+def pair_statistic(x: np.ndarray, stat, width: int | None = None) -> np.ndarray:
+    """One value per column pair i < j of (K, n) log-space rows ``x``, from
+    ``stat(block, pairs)`` on consecutive (K, b) blocks of x_i - x_j, ``pairs``
+    the slice of the lexicographic pair axis a block covers. Blocks hold
+    ``width`` pairs, by default as many as fit in PAIR_BLOCK elements, and are
+    column-major: a sum over DMs adds in the same order at every width."""
+    i, j = pair_indices(x.shape[1])
+    width = width or block_width(x.shape[0])
+    out = np.empty(i.size)
+    for s in range(0, i.size, width):
+        pairs = slice(s, s + width)
+        out[pairs] = stat(x[:, i[pairs]] - x[:, j[pairs]], pairs)
+    return out
 
 
 def pair_differences(x: np.ndarray) -> np.ndarray:

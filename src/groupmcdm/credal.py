@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .composition import PriorityMatrix, pair_indices
+from .composition import PriorityMatrix, block_width, pair_indices, pair_statistic
 from .errors import AllZeroRatios, InputError, InsufficientSamples
 
 BAYES_WILCOXON = "bayes-wilcoxon"
@@ -138,9 +138,6 @@ class CredalOrdering:
         return lo <= self.p_greater <= hi
 
 
-#: Elements per temporary of the Walsh kernel: draws or pairs per chunk
-#: times the observations (or observation pairs) they span.
-_BLOCK = 1 << 14
 #: Largest K + 1 scored by the matrix-product form, O(S K^2) per pair in
 #: BLAS; above it the sorted prefix-sum form, O(S K log K) per pair, wins.
 _MATRIX_FORM_MAX = 48
@@ -151,7 +148,7 @@ def _walsh_sign_posteriors(V: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     V (K+1, pairs) holds each pair's log-ratios below the pseudo-observation
     0; g (S, K+1) holds the draws. stat = sum_{a<=b} g_a g_b sign(v_a + v_b).
-    The matrix form signs all pairs at once: pass at most _BLOCK // (m(m+1)/2).
+    The matrix form signs all pairs at once: pass at most block_width(m(m+1)/2).
     Counting exact zeros as one half maps all-equal data to 0.5 and makes the
     posteriors of V and -V sum to exactly 1.
     """
@@ -159,7 +156,7 @@ def _walsh_sign_posteriors(V: np.ndarray, g: np.ndarray) -> np.ndarray:
     wins = np.zeros(V.shape[1])
     if m <= _MATRIX_FORM_MAX:
         a, b = np.triu_indices(m)
-        step = max(1, _BLOCK // a.size)
+        step = block_width(a.size)
         # fancy indexing copies; the in-place steps keep one fewer
         # temporary alive, which shows in the resident memory of `rank`
         signs = V[a]
@@ -173,7 +170,7 @@ def _walsh_sign_posteriors(V: np.ndarray, g: np.ndarray) -> np.ndarray:
         return wins / S
     # twice stat: each a weighs the g-mass above -v_a minus the mass below it,
     # read off prefix sums of g in ascending order of v
-    step = max(1, _BLOCK // m)
+    step = block_width(m)
     for p, v in enumerate(V.T):
         order = np.argsort(v, kind="stable")
         below = np.searchsorted(v[order], -v, side="left")
@@ -188,26 +185,45 @@ def _walsh_sign_posteriors(V: np.ndarray, g: np.ndarray) -> np.ndarray:
     return wins / S
 
 
-def _bayes_posteriors(W: PriorityMatrix, i: np.ndarray, j: np.ndarray,
-                      mc_samples: int, seed, prior_weight: float) -> np.ndarray:
-    """P(criterion i[k] outweighs j[k]) for each k, on the panel's one draw."""
-    if W.n_dms < 2:
+def _bayes_posteriors(values: np.ndarray, mc_samples: int, seed,
+                      prior_weight: float) -> np.ndarray:
+    """P(column i outweighs column j), i < j, of (K, n) ``values``, on one draw."""
+    K = values.shape[0]
+    if K < 2:
         raise InsufficientSamples("the Bayesian signed-rank test needs K >= 2")
     if mc_samples < 1000:
         raise InputError("mc_samples must be at least 1000")
     if not prior_weight > 0:
         raise InputError("prior_weight must be positive")
-    alpha = np.concatenate(([prior_weight], np.ones(W.n_dms)))
+    alpha = np.concatenate(([prior_weight], np.ones(K)))
     g = np.random.default_rng(seed).dirichlet(alpha, size=mc_samples)
-    logs = np.log(W.values)
-    m = W.n_dms + 1
-    block = max(1, 2 * _BLOCK // (m * (m + 1)))  # pairs per V: one matrix-form sign block
-    p = np.empty(i.size)
-    for k in range(0, i.size, block):
-        V = np.zeros((m, min(block, i.size - k)))
-        np.subtract(logs[:, i[k:k + block]], logs[:, j[k:k + block]], out=V[1:])
-        p[k:k + block] = _walsh_sign_posteriors(V, g)
-    return p
+    # a zero first row heads each block with the pseudo-observation 0
+    return pair_statistic(np.vstack((np.zeros(values.shape[1]), np.log(values))),
+                          lambda V, _: _walsh_sign_posteriors(V, g),
+                          block_width((K + 1) * (K + 2) // 2))
+
+
+def _sign_posteriors(values: np.ndarray, prior_a: float, prior_b: float) -> np.ndarray:
+    """``sign_test``'s P(column i outweighs column j) for each pair i < j of
+    the (K, n) ``values``, one ``betainc`` call per pair block. The only
+    function that imports scipy, on call: other commands load numpy alone."""
+    from scipy.special import betainc
+
+    if not (prior_a > 0 and prior_b > 0):
+        raise InputError("beta prior parameters must be positive")
+    # P(Beta(a + s, b + f) > 1/2) = I_{1/2}(b + f, a + s)
+    return pair_statistic(values, lambda d, _: betainc(
+        prior_b + (d < 0).sum(axis=0), prior_a + (d > 0).sum(axis=0), 0.5))
+
+
+def _one_pair(W: PriorityMatrix, i: int, j: int, test: str, posteriors, *args) -> CredalOrdering:
+    """Score (min(i, j), max(i, j)) by ``posteriors(values, *args)`` of its
+    (K, 2) columns of ``W.values``; a reversed pair gets the exact complement."""
+    if i == j:
+        raise InputError("need two distinct criteria")
+    lo, hi = sorted((i, j))
+    p = posteriors(W.values[:, [lo, hi]], *args).item()
+    return CredalOrdering(i=i, j=j, p_greater=p if i == lo else 1.0 - p, test=test)
 
 
 def bayesian_signed_rank(
@@ -224,13 +240,7 @@ def bayesian_signed_rank(
     pair: both score (min, max) on the panel's one draw, and a reversed pair
     gets the exact complement.
     """
-    if i == j:
-        raise InputError("need two distinct criteria")
-    lo, hi = (i, j) if i < j else (j, i)
-    d_lo = _bayes_posteriors(W, np.array([lo]), np.array([hi]), mc_samples, seed,
-                             prior_weight).item()
-    p = d_lo if i == lo else 1.0 - d_lo
-    return CredalOrdering(i=i, j=j, p_greater=p, test=BAYES_WILCOXON)
+    return _one_pair(W, i, j, BAYES_WILCOXON, _bayes_posteriors, mc_samples, seed, prior_weight)
 
 
 def sign_test(
@@ -248,24 +258,8 @@ def sign_test(
     Beta(prior_a + s, prior_b + f), evaluated with the regularized incomplete
     beta function. The prior thus belongs to the lower-indexed criterion, as
     in ``credal_ranking``, and a reversed pair gets the exact complement.
-
-    This is the only function that imports scipy (``scipy.special.betainc``),
-    and only when called, so other commands and library calls load numpy
-    alone.
     """
-    from scipy.special import betainc
-
-    if i == j:
-        raise InputError("need two distinct criteria")
-    if not (prior_a > 0 and prior_b > 0):
-        raise InputError("beta prior parameters must be positive")
-    lo, hi = (i, j) if i < j else (j, i)
-    s = int((W.values[:, lo] > W.values[:, hi]).sum())
-    f = int((W.values[:, lo] < W.values[:, hi]).sum())
-    # P(Beta(a + s, b + f) > 1/2) = I_{1/2}(b + f, a + s)
-    p_lo = float(betainc(prior_b + f, prior_a + s, 0.5))
-    p = p_lo if i == lo else 1.0 - p_lo
-    return CredalOrdering(i=i, j=j, p_greater=p, test=SIGN_TEST)
+    return _one_pair(W, i, j, SIGN_TEST, _sign_posteriors, prior_a, prior_b)
 
 
 @dataclass(frozen=True)
@@ -305,18 +299,16 @@ def credal_ranking(
 
     Arguments are validated before the Bayesian test's one draw per panel.
     """
-    i, j = pair_indices(W.n_criteria)
     if test == BAYES_WILCOXON:
-        p = _bayes_posteriors(W, i, j, mc_samples, seed, prior_weight)
-        orderings = [CredalOrdering(i=a, j=b, p_greater=q, test=test)
-                     for a, b, q in zip(i.tolist(), j.tolist(), p.tolist())]
+        p = _bayes_posteriors(W.values, mc_samples, seed, prior_weight)
     elif test == SIGN_TEST:
-        orderings = [sign_test(W, a, b, prior_a, prior_b)
-                     for a, b in zip(i.tolist(), j.tolist())]
+        p = _sign_posteriors(W.values, prior_a, prior_b)
     else:
         raise InputError(f"unknown test {test!r}")
+    i, j = pair_indices(W.n_criteria)
     return CredalRanking(
-        orderings=tuple(orderings),
+        orderings=tuple(CredalOrdering(i=a, j=b, p_greater=q, test=test)
+                        for a, b, q in zip(i.tolist(), j.tolist(), p.tolist())),
         test=test,
         labels=W.labels,
         mc_samples=mc_samples if test == BAYES_WILCOXON else None,

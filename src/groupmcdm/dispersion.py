@@ -21,7 +21,7 @@ from .aggregation import (
     aggregate_awgmm,
     build_average_array,
 )
-from .composition import PriorityMatrix, expand_log_ratios, pair_indices
+from .composition import PriorityMatrix, expand_log_ratios, pair_indices, pair_statistic
 from .errors import InputError, InsufficientSamples, WeightDimensionMismatch
 
 STD = "std"
@@ -56,24 +56,23 @@ class AverageDeviationArray:
         return np.triu(self.xi, k=1) + np.tril(self.tau, k=-1)
 
 
-def _mirrored(tau: np.ndarray) -> np.ndarray:
-    """Symmetric n x n layout of non-negative per-pair spreads."""
-    return np.abs(expand_log_ratios(tau))
+def _deviation_array(W: PriorityMatrix, stat, estimator: str) -> DeviationArray:
+    """The per-pair spreads ``stat`` (see ``pair_statistic``), laid out n x n."""
+    tau = pair_statistic(np.log(W.values), stat)
+    return DeviationArray(tau=np.abs(expand_log_ratios(tau)), estimator=estimator)
 
 
 def deviation_array_std(W: PriorityMatrix) -> DeviationArray:
     """Sample standard deviation (K-1 denominator) of each pairwise log-ratio."""
     if W.n_dms < 2:
         raise InsufficientSamples("standard deviation needs at least two DMs")
-    tau = W.log_ratios().std(axis=0, ddof=1)
-    return DeviationArray(tau=_mirrored(tau), estimator=STD)
+    return _deviation_array(W, lambda d, _: d.std(axis=0, ddof=1), STD)
 
 
 def deviation_array_mad(W: PriorityMatrix) -> DeviationArray:
     """Median absolute deviation about the median, no consistency constant."""
-    what = W.log_ratios()
-    tau = np.median(np.abs(what - np.median(what, axis=0)), axis=0)
-    return DeviationArray(tau=_mirrored(tau), estimator=MAD)
+    return _deviation_array(
+        W, lambda d, _: np.median(np.abs(d - np.median(d, axis=0)), axis=0), MAD)
 
 
 def deviation_array_robust(W: PriorityMatrix, dm_weights, xi) -> DeviationArray:
@@ -83,15 +82,17 @@ def deviation_array_robust(W: PriorityMatrix, dm_weights, xi) -> DeviationArray:
     the unit-sum weights from the robust aggregation and ``xi`` the matching
     weighted average array, read above the diagonal.
     """
-    lam = _dm_weights(W, dm_weights)
+    lam = _dm_weights(W, dm_weights)[:, None]
     xi = np.asarray(xi, dtype=float)
     n = W.n_criteria
     if xi.shape != (n, n):
         raise WeightDimensionMismatch(
             f"average array shape {xi.shape} does not match {(n, n)}"
         )
-    var = lam @ (W.log_ratios() - xi[pair_indices(n)]) ** 2
-    return DeviationArray(tau=_mirrored(np.sqrt(var)), estimator=ROBUST)
+    centre = xi[pair_indices(n)]
+    # a sum, not lam @: a BLAS product's order of terms varies with the width
+    return _deviation_array(
+        W, lambda d, pairs: np.sqrt((lam * (d - centre[pairs]) ** 2).sum(axis=0)), ROBUST)
 
 
 def average_deviation_array(

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from groupmcdm import PriorityMatrix
+from groupmcdm import PriorityMatrix, composition
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -60,6 +60,26 @@ def example_csv():
 @pytest.fixture
 def two_criteria_csv():
     return str(DATA_DIR / "two_criteria_ratings.csv")
+
+
+@pytest.fixture
+def pair_block(monkeypatch):
+    """``pair_block(width, per_pair)`` shrinks the one block size, which
+    ``pair_statistic`` and the credal kernels read on each call, so that a
+    statistic spending ``per_pair`` elements on each pair runs ``width``
+    pairs per block; ``width=None`` restores the default."""
+    default = composition.PAIR_BLOCK
+
+    def shrink(width, per_pair):
+        size = default if width is None else width * per_pair
+        monkeypatch.setattr(composition, "PAIR_BLOCK", size)
+
+    return shrink
+
+
+#: Pair-block widths the blocked statistics are checked at: the default,
+#: one pair per block, and a width that leaves a short last block.
+WIDTHS = (None, 1, 7)
 
 
 def random_matrix(rng, n_dms, n_criteria, labels=False):

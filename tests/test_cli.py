@@ -25,6 +25,7 @@ from groupmcdm.cli import (
 from groupmcdm.errors import (
     InputError,
     NonPositiveEntry,
+    NumericError,
     ParseError,
     RaggedRow,
 )
@@ -237,6 +238,13 @@ class TestDescribeCommand:
         expected = (3, "", "error: AWGMM did not converge within 500 iterations\n")
         for argv in (["aggregate", "--method", "awgmm"], ["describe"]):
             assert run_cli(capsys, *argv, "--input", path) == expected
+
+    def test_awgmm_options_come_from_the_config(self, example_csv):
+        # describe builds its AWGMM knobs from the config it echoes, as
+        # aggregate does: one iteration stops short of convergence
+        config = RunConfig(command="describe", input=example_csv, max_iter=1)
+        with pytest.raises(NumericError, match="within 1 iterations"):
+            COMMANDS["describe"](config)
 
     def test_text_cells_stay_apart(self, tmp_path, capsys):
         # log-ratios near -736 format wider than the column labels

@@ -10,8 +10,14 @@ from groupmcdm import (
     Composition,
     Pcm,
     PriorityMatrix,
+    aggregate_awgmm,
     array_to_composition,
+    build_average_array,
     close,
+    credal_ranking,
+    deviation_array_mad,
+    deviation_array_robust,
+    deviation_array_std,
     inverse_log_ratio,
     is_fully_consistent,
     log_ratio_transform,
@@ -23,6 +29,7 @@ from groupmcdm.composition import (
     dimension_from_pairs,
     expand_log_ratios,
     pair_indices,
+    pair_statistic,
 )
 from groupmcdm.errors import (
     DimensionMismatch,
@@ -33,7 +40,7 @@ from groupmcdm.errors import (
     NonPositiveEntry,
 )
 
-from conftest import EXAMPLE_W
+from conftest import EXAMPLE_W, WIDTHS, random_matrix
 
 
 def brute_force_log_ratios(parts):
@@ -395,6 +402,63 @@ class TestPriorityMatrix:
     def test_zero_row_entry_rejected(self):
         with pytest.raises(NonPositiveEntry):
             PriorityMatrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
+
+
+class TestPairStatistic:
+    def test_blocks_are_log_ratio_columns_in_pair_order(self, pair_block):
+        W = random_matrix(np.random.default_rng(46), 6, 9)
+        whole = W.log_ratios()
+        for width in WIDTHS:
+            pair_block(width, W.n_dms)
+            seen = []
+
+            def first_row(block, pairs):
+                np.testing.assert_array_equal(block, whole[:, pairs])
+                seen.append(block.shape[1])
+                return block[0]
+
+            got = pair_statistic(np.log(W.values), first_row)
+            np.testing.assert_array_equal(got, whole[0])
+            # every block but the last is full; the default holds all 36 pairs
+            assert seen[:-1] == [width] * (len(seen) - 1) and sum(seen) == 36
+            assert width or seen == [36]
+
+    @pytest.mark.parametrize("kind, n_dms, n", [("tied", 12, 9), ("random", 12, 9),
+                                                ("random", 60, 5)])
+    def test_every_statistic_is_bit_identical_at_every_width(self, pair_block, kind, n_dms, n):
+        # 60 DMs take the sorted Walsh form, 12 the matrix-product form; the
+        # column-wise statistics must equal their value on the whole
+        # log_ratios() matrix, the credal ones their value at the default
+        rng = np.random.default_rng(47)
+        W = PriorityMatrix(rng.integers(1, 5, size=(n_dms, n)).astype(float) if kind == "tied"
+                           else rng.dirichlet(np.ones(n), size=n_dms))
+        L = W.log_ratios()
+        lam = aggregate_awgmm(W).dm_weights
+        xi = build_average_array(W, "weighted", dm_weights=lam)
+        i, j = pair_indices(n)
+        column_wise = {
+            "median": (lambda: build_average_array(W, "median")[i, j], np.median(L, axis=0)),
+            "std": (lambda: deviation_array_std(W).tau[i, j], L.std(axis=0, ddof=1)),
+            "mad": (lambda: deviation_array_mad(W).tau[i, j],
+                    np.median(np.abs(L - np.median(L, axis=0)), axis=0)),
+            "robust": (lambda: deviation_array_robust(W, lam, xi).tau[i, j],
+                       np.sqrt((lam[:, None] * (L - xi[i, j]) ** 2).sum(axis=0))),
+        }
+        for name, (blocked, whole) in column_wise.items():
+            for width in WIDTHS:
+                pair_block(width, n_dms)
+                np.testing.assert_array_equal(blocked(), whole, err_msg=f"{name}, width {width}")
+        credal_tests = {
+            "bayes": (lambda: credal_ranking(W, seed=5, mc_samples=1000),
+                      (n_dms + 1) * (n_dms + 2) // 2),
+            "sign": (lambda: credal_ranking(W, test="sign", prior_a=3.0, prior_b=0.5), n_dms),
+        }
+        for name, (rank, per_pair) in credal_tests.items():
+            posteriors = []
+            for width in WIDTHS:
+                pair_block(width, per_pair)
+                posteriors.append([o.p_greater for o in rank().orderings])
+            assert posteriors[1] == posteriors[0] and posteriors[2] == posteriors[0], name
 
 
 class TestClosureAtTheFloatingPointLimits:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -17,7 +18,7 @@ from groupmcdm import (
 )
 from groupmcdm.errors import AllZeroRatios, InputError, InsufficientSamples
 
-from conftest import random_matrix
+from conftest import WIDTHS, random_matrix
 
 TABLE_RANKS = [13, 9, 10, 6, 7, 12, 8, 14, 1, 2, 5, 3, 11, 15, 4]
 
@@ -362,22 +363,25 @@ class TestWalshKernel:
 
 
 class TestSharedStream:
-    def test_ranking_equals_single_pair_test(self):
+    def test_ranking_equals_single_pair_test(self, pair_block):
         rng = np.random.default_rng(92)
         for n_dms, n in ((5, 4), (80, 5)):
             W = random_matrix(rng, n_dms, n)
-            ranking = credal_ranking(W, seed=17, mc_samples=1000)
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        single = bayesian_signed_rank(W, i, j, seed=17, mc_samples=1000)
-                        assert ranking.ordering(i, j).p_greater == single.p_greater
+            for width in WIDTHS:
+                pair_block(width, (n_dms + 1) * (n_dms + 2) // 2)  # one Walsh sign block
+                ranking = credal_ranking(W, seed=17, mc_samples=1000)
+                for i in range(n):
+                    for j in range(n):
+                        if i != j:
+                            single = bayesian_signed_rank(W, i, j, seed=17, mc_samples=1000)
+                            assert ranking.ordering(i, j).p_greater == single.p_greater
 
     @pytest.mark.parametrize("prior", [(1.0, 1.0), (3.0, 1.0), (0.5, 3.0), (1e-3, 1e6)])
-    def test_sign_ranking_equals_single_pair_test(self, prior):
+    def test_sign_ranking_equals_single_pair_test(self, pair_block, prior):
         rng = np.random.default_rng(93)
         tied = PriorityMatrix(rng.integers(1, 4, size=(9, 4)).astype(float))
-        for W in (random_matrix(rng, 7, 5), tied):
+        for W, width in itertools.product((random_matrix(rng, 7, 5), tied), WIDTHS):
+            pair_block(width, W.n_dms)
             ranking = credal_ranking(W, test="sign", prior_a=prior[0], prior_b=prior[1])
             for i in range(W.n_criteria):
                 for j in range(W.n_criteria):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from groupmcdm import (
     aggregate_awgmm,
     average_deviation_array,
     build_average_array,
+    credal_ranking,
     deviation_array_mad,
     deviation_array_robust,
     deviation_array_std,
@@ -22,7 +24,7 @@ from groupmcdm.errors import (
     WeightDimensionMismatch,
 )
 
-from conftest import EXAMPLE_W, random_matrix
+from conftest import EXAMPLE_W, WIDTHS, random_matrix
 
 
 # three DMs on which AWGMM converges at iteration 502, past the default 500
@@ -47,15 +49,17 @@ def sorted_median(xs):
 
 
 class TestStd:
-    def test_matches_two_pass_oracle(self):
+    def test_matches_two_pass_oracle(self, pair_block):
         rng = np.random.default_rng(21)
         W = random_matrix(rng, 8, 4)
-        tau = deviation_array_std(W).tau
-        for i in range(4):
-            for j in range(4):
-                if i != j:
-                    expected = two_pass_std(pair_column(W.values, i, j))
-                    assert tau[i, j] == pytest.approx(expected, abs=1e-14)
+        for width in WIDTHS:
+            pair_block(width, W.n_dms)
+            tau = deviation_array_std(W).tau
+            for i in range(4):
+                for j in range(4):
+                    if i != j:
+                        expected = two_pass_std(pair_column(W.values, i, j))
+                        assert tau[i, j] == pytest.approx(expected, abs=1e-14)
 
     def test_worked_example_entries(self, example_matrix):
         tau = deviation_array_std(example_matrix).tau
@@ -88,17 +92,19 @@ class TestStd:
 
 
 class TestMad:
-    def test_matches_sort_based_oracle(self):
+    def test_matches_sort_based_oracle(self, pair_block):
         rng = np.random.default_rng(24)
         W = random_matrix(rng, 9, 4)
-        tau = deviation_array_mad(W).tau
-        for i in range(4):
-            for j in range(4):
-                if i != j:
-                    col = pair_column(W.values, i, j)
-                    med = sorted_median(col)
-                    expected = sorted_median([abs(x - med) for x in col])
-                    assert tau[i, j] == pytest.approx(expected, abs=1e-12)
+        for width in WIDTHS:
+            pair_block(width, W.n_dms)
+            tau = deviation_array_mad(W).tau
+            for i in range(4):
+                for j in range(4):
+                    if i != j:
+                        col = pair_column(W.values, i, j)
+                        med = sorted_median(col)
+                        expected = sorted_median([abs(x - med) for x in col])
+                        assert tau[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_worked_example_entry(self, example_matrix):
         tau = deviation_array_mad(example_matrix).tau
@@ -259,3 +265,25 @@ class TestCriterionPermutation:
             got = average_deviation_array(permuted, estimator)
             np.testing.assert_allclose(got.xi, ad.xi[rows_cols], rtol=0, atol=tol)
             np.testing.assert_allclose(got.tau, ad.tau[rows_cols], rtol=0, atol=tol)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("run", [
+        lambda W: average_deviation_array(W, "mean"),
+        lambda W: average_deviation_array(W, "median"),
+        lambda W: average_deviation_array(W, "awgmm"),
+        lambda W: credal_ranking(W, test="sign"),
+    ], ids=["ad-mean", "ad-median", "ad-awgmm", "sign-ranking"])
+    def test_peak_stays_below_the_log_ratio_matrix(self, run):
+        # the (K, n(n-1)/2) log-ratio matrix of this panel alone takes 4.2 MB;
+        # blocked, each statistic keeps its temporaries to one pair block
+        import scipy.special  # noqa: F401  (its first import alone traces 13 MB)
+
+        W = random_matrix(np.random.default_rng(28), 300, 60)
+        tracemalloc.start()
+        try:
+            run(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
