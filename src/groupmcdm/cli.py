@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import warnings as _warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,15 +52,17 @@ def load_priorities(path, zero_policy: str = "reject", zero_eps: float = DEFAULT
 
     Returns (matrix, warnings). Rows are re-normalized; a warning is recorded
     for any row whose sum deviates from 1 by more than 1e-6 and for replaced
-    zeros under the ``replace`` policy. Negative weights, cells that are not
-    finite numbers and repeated header labels are always rejected; a UTF-8
-    byte-order mark is skipped.
+    zeros under the ``replace`` policy. Negative weights, non-finite cells,
+    repeated header labels, non-UTF-8 bytes and fields past the csv module's
+    limit are always rejected; a UTF-8 byte-order mark is skipped.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = list(csv.reader(fh))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
     rows = [(lineno, row) for lineno, row in enumerate(lines, start=1) if row]
     if not rows:
         raise ParseError("empty file")
@@ -110,7 +112,8 @@ def load_priorities(path, zero_policy: str = "reject", zero_eps: float = DEFAULT
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Echoable configuration of one CLI invocation."""
+    """Echoable configuration of one CLI invocation: the one home of the option
+    defaults, checked on construction whether built in code or from argv."""
 
     command: str
     input: str
@@ -119,7 +122,7 @@ class RunConfig:
     output_format: str = "json"
     seed: int | None = None
     # aggregate
-    method: str = "gmm"
+    method: str = aggregation.GMM
     max_iter: int = 500
     tol: float = 1e-10
     sigma_denominator: float | None = None
@@ -135,6 +138,21 @@ class RunConfig:
     distance: str = clustering.AITCHISON
     restarts: int = 10
     with_baseline: bool = False
+
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                option = "zero-policy" if name == "zero_eps" else name.replace("_", "-")
+                raise InputError(f"--{option} must be a finite number, got {value}")
+        if not 0.0 <= self.deviant_threshold <= 1.0:
+            raise InputError("--deviant-threshold must lie in [0, 1]")
+        if self.seed is not None and self.seed < 0:
+            raise InputError("--seed must be non-negative")
+        needs_seed = self.command == "cluster" or (
+            self.command == "rank" and self.test == credal.BAYES_WILCOXON
+        )
+        if needs_seed and self.seed is None:
+            raise InputError(f"--seed is required for this {self.command} invocation")
 
 
 @dataclass
@@ -403,40 +421,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("json", "text")):
+    def add_parser(name, summary, formats=("json", "text")):
+        # an omitted flag stays out of the Namespace: RunConfig's default applies
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--input", required=True, help="priorities CSV (header + one row per DM)")
         p.add_argument(
             "--zero-policy",
-            default="reject",
             help="reject (default) or replace:<eps> to substitute zero weights",
         )
-        p.add_argument("--format", default="json", choices=formats, dest="output_format")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--format", choices=formats, dest="output_format")
+        p.add_argument("--seed", type=int)
+        return p
 
-    p = sub.add_parser("aggregate", help="aggregate the DM priorities into one vector")
-    add_common(p)
-    p.add_argument("--method", default="gmm", choices=("amm", "gmm", "awgmm"))
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--sigma-denominator", type=float, default=None)
-    p.add_argument("--deviant-threshold", type=float, default=DEVIANT_THRESHOLD)
+    p = add_parser("aggregate", "aggregate the DM priorities into one vector")
+    p.add_argument("--method", choices=(aggregation.AMM, aggregation.GMM, aggregation.AWGMM))
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--sigma-denominator", type=float)
+    p.add_argument("--deviant-threshold", type=float)
 
-    p = sub.add_parser("describe", help="average-deviation arrays (mean, median, robust)")
-    add_common(p)
+    add_parser("describe", "average-deviation arrays (mean, median, robust)")
 
-    p = sub.add_parser("rank", help="credal ranking of criteria")
-    add_common(p, formats=("json", "text", "dot"))
-    p.add_argument("--test", default="bayes-wilcoxon", choices=("bayes-wilcoxon", "sign"))
-    p.add_argument("--mc-samples", type=int, default=10_000)
-    p.add_argument("--prior-weight", type=float, default=1.0)
-    p.add_argument("--prior-a", type=float, default=1.0)
-    p.add_argument("--prior-b", type=float, default=1.0)
+    p = add_parser("rank", "credal ranking of criteria", formats=("json", "text", "dot"))
+    p.add_argument("--test", choices=(credal.BAYES_WILCOXON, credal.SIGN_TEST))
+    p.add_argument("--mc-samples", type=int)
+    p.add_argument("--prior-weight", type=float)
+    p.add_argument("--prior-a", type=float)
+    p.add_argument("--prior-b", type=float)
 
-    p = sub.add_parser("cluster", help="group the DMs by priority similarity")
-    add_common(p)
+    p = add_parser("cluster", "group the DMs by priority similarity")
     p.add_argument("--clusters", type=int, required=True)
-    p.add_argument("--distance", default="aitchison", choices=("aitchison", "madc"))
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--distance", choices=(clustering.AITCHISON, clustering.MADC))
+    p.add_argument("--restarts", type=int)
+    # Lloyd's cap, not AWGMM's: the one default that differs by subcommand
     p.add_argument("--max-iter", type=int, default=300)
     p.add_argument("--with-baseline", action="store_true")
 
@@ -460,24 +477,11 @@ def _parse_zero_policy(text: str):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    # each subcommand's parser defines the RunConfig fields it sets
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
-    given["zero_policy"], given["zero_eps"] = _parse_zero_policy(args.zero_policy)
-    config = RunConfig(**given)
-    for name, value in asdict(config).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            option = "zero-policy" if name == "zero_eps" else name.replace("_", "-")
-            raise InputError(f"--{option} must be a finite number, got {value}")
-    if not 0.0 <= config.deviant_threshold <= 1.0:
-        raise InputError("--deviant-threshold must lie in [0, 1]")
-    if config.seed is not None and config.seed < 0:
-        raise InputError("--seed must be non-negative")
-    needs_seed = config.command == "cluster" or (
-        config.command == "rank" and config.test == credal.BAYES_WILCOXON
-    )
-    if needs_seed and config.seed is None:
-        raise InputError(f"--seed is required for this {config.command} invocation")
-    return config
+    # each subcommand's parser holds only the RunConfig fields given on argv
+    given = dict(vars(args))
+    if "zero_policy" in given:
+        given["zero_policy"], given["zero_eps"] = _parse_zero_policy(given["zero_policy"])
+    return RunConfig(**given)
 
 
 COMMANDS = {

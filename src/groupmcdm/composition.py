@@ -28,6 +28,7 @@ from .errors import (
     InconsistentLogRatios,
     InputError,
     NonPositiveEntry,
+    position,
 )
 
 #: Tolerance for algebraic identities (closure, antisymmetry of built arrays).
@@ -67,8 +68,8 @@ def _validated_parts(raw, ndim: int = 1) -> np.ndarray:
         raise DimensionTooSmall(parts.shape[-1])
     bad = ~(parts > 0) | ~np.isfinite(parts)
     if bad.any():
-        first = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NonPositiveEntry(int(first[-1]), float(parts[first]))
+        first = tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
+        raise NonPositiveEntry(first if parts.ndim == 2 else first[0], float(parts[first]))
     return parts
 
 
@@ -86,7 +87,7 @@ def _closed(parts: np.ndarray) -> np.ndarray:
     closed = np.where(np.abs(s - 1.0) > CLOSURE_TOL, parts / s, parts)
     if not closed.all():
         k = np.unravel_index(np.argmin(closed), closed.shape)
-        where = f"entry {k[0]}" if closed.ndim == 1 else f"row {k[0] + 1}, column {k[1] + 1}"
+        where = position(k if closed.ndim == 2 else k[0])
         raise InputError(f"weight at {where} underflows to 0 on closing to unit sum")
     return closed
 

@@ -76,14 +76,19 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _check_pair(W: PriorityMatrix, i: int, j: int) -> None:
+    """The one pair-index rule: i != j, both in [0, n)."""
+    if i == j or not (0 <= i < W.n_criteria and 0 <= j < W.n_criteria):
+        raise InputError(f"need two distinct criteria in [0, {W.n_criteria}), got {i} and {j}")
+
+
 def signed_rank_summary(W: PriorityMatrix, i: int, j: int) -> SignedRankSummary:
     """Rank the per-DM log-ratios of criteria i and j by absolute magnitude.
 
     Ties receive the average rank. Raises AllZeroRatios when every DM weighs
     the two criteria identically.
     """
-    if i == j:
-        raise InputError("need two distinct criteria")
+    _check_pair(W, i, j)
     lr = np.log(W.values[:, i]) - np.log(W.values[:, j])
     keep = lr != 0.0
     if not keep.any():
@@ -219,8 +224,7 @@ def _sign_posteriors(values: np.ndarray, prior_a: float, prior_b: float) -> np.n
 def _one_pair(W: PriorityMatrix, i: int, j: int, test: str, posteriors, *args) -> CredalOrdering:
     """Score (min(i, j), max(i, j)) by ``posteriors(values, *args)`` of its
     (K, 2) columns of ``W.values``; a reversed pair gets the exact complement."""
-    if i == j:
-        raise InputError("need two distinct criteria")
+    _check_pair(W, i, j)
     lo, hi = sorted((i, j))
     p = posteriors(W.values[:, [lo, hi]], *args).item()
     return CredalOrdering(i=i, j=j, p_greater=p if i == lo else 1.0 - p, test=test)

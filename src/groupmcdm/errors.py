@@ -18,6 +18,13 @@ class NumericError(GroupMcdmError, ArithmeticError):
     """Numeric or convergence failure during computation."""
 
 
+def position(index) -> str:
+    """``entry k`` at vector index k; ``row r, column c``, 1-based, at matrix index (r, c)."""
+    if isinstance(index, tuple):
+        return f"row {index[0] + 1}, column {index[1] + 1}"
+    return f"entry {index}"
+
+
 class NonPositiveEntry(InputError):
     """A weight that must be strictly positive is zero or negative."""
 
@@ -25,7 +32,7 @@ class NonPositiveEntry(InputError):
         self.index = index
         self.value = value
         self.line = line
-        where = f"entry {index}" if line is None else f"line {line}, column {index + 1}"
+        where = position(index) if line is None else f"line {line}, column {index + 1}"
         super().__init__(f"non-positive weight {value!r} at {where}")
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from groupmcdm import aggregation, clustering, credal
 from groupmcdm.cli import (
     COMMANDS,
     RunConfig,
@@ -598,6 +600,86 @@ def test_non_finite_result_exits_3_with_nothing_on_stdout(monkeypatch, example_c
     code, out, err = run_in_process(["describe", "--input", example_csv])
     assert (code, out) == (3, "")
     assert err.startswith("error: non-finite value in the report")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"caf\xe9,b\n0.5,0.5\n", b"a,b\n" + b"1" * 131_073 + b",0.5\n"],
+    ids=["header-not-utf8", "field-past-csv-limit"],
+)
+def test_unreadable_csv_exits_2(tmp_path, content):
+    path = tmp_path / "w.csv"
+    path.write_bytes(content)
+    with pytest.raises(ParseError):
+        load_priorities(str(path))
+    code, out, err = run_in_process(["aggregate", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse ")
+
+
+def minimal_config(command, path):
+    """The config of the shortest argv that runs ``command``."""
+    needs = {"rank": ["--seed", "1"], "cluster": ["--clusters", "2", "--seed", "1"]}
+    args = _build_parser().parse_args([command, "--input", path, *needs.get(command, [])])
+    return _config_from_args(args)
+
+
+@pytest.mark.parametrize(
+    "command, given",
+    [
+        ("aggregate", {}),
+        ("describe", {}),
+        ("rank", {"seed": 1}),
+        ("cluster", {"clusters": 2, "seed": 1, "max_iter": 300}),
+    ],
+)
+def test_minimal_argv_takes_every_default_from_runconfig(example_csv, command, given):
+    # cluster's --max-iter (Lloyd's cap) is the one default the parser holds
+    assert minimal_config(command, example_csv) == RunConfig(command, example_csv, **given)
+
+
+def test_runconfig_defaults_are_the_library_defaults(example_csv):
+    config = RunConfig("aggregate", example_csv)
+    awgmm = aggregation.AwgmmOptions()
+    assert (config.max_iter, config.tol, config.sigma_denominator) == (
+        awgmm.max_iter, awgmm.tol, awgmm.sigma_denominator)
+    ranking = inspect.signature(credal.credal_ranking).parameters
+    for name in ("test", "mc_samples", "prior_weight", "prior_a", "prior_b"):
+        assert getattr(config, name) == ranking[name].default, name
+    cluster = minimal_config("cluster", example_csv)
+    kmeans = inspect.signature(clustering.kmeans_compositional).parameters
+    for name in ("distance", "restarts", "max_iter"):
+        assert getattr(cluster, name) == kmeans[name].default, name
+
+
+@pytest.mark.parametrize(
+    "given, argv",
+    [
+        ({"command": "aggregate", "tol": math.nan}, ["aggregate", "--tol", "nan"]),
+        ({"command": "rank", "prior_a": math.inf, "test": credal.SIGN_TEST},
+         ["rank", "--prior-a", "inf", "--test", "sign"]),
+        ({"command": "aggregate", "deviant_threshold": 2.0},
+         ["aggregate", "--deviant-threshold", "2"]),
+        ({"command": "aggregate", "seed": -1}, ["aggregate", "--seed", "-1"]),
+        ({"command": "rank"}, ["rank"]),
+        ({"command": "cluster"}, ["cluster", "--clusters", "2"]),
+    ],
+    ids=["nan-float", "inf-float", "threshold-range", "negative-seed", "rank-seed",
+         "cluster-seed"],
+)
+def test_config_built_in_code_is_checked_as_argv_is(example_csv, given, argv):
+    with pytest.raises(InputError) as built:
+        RunConfig(input=example_csv, **given)
+    code, out, err = run_in_process([*argv, "--input", example_csv])
+    assert (code, out, err) == (2, "", f"error: {built.value}\n")
+
+
+@pytest.mark.parametrize("command", [[], ["aggregate"], ["describe"], ["rank"], ["cluster"]])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: groupmcdm", *command]))
 
 
 def test_import_does_not_load_scipy(example_csv):

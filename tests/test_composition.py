@@ -327,6 +327,13 @@ class TestPcm:
         with pytest.raises(NonPositiveEntry):
             Pcm(m)
 
+    def test_bad_entry_named_by_row_and_column(self):
+        m = self.CONSISTENT.copy()
+        m[0, 2] = -8.0
+        with pytest.raises(NonPositiveEntry, match=r"-8\.0 at row 1, column 3$") as exc:
+            Pcm(m)
+        assert exc.value.index == (0, 2)
+
 
 @pytest.mark.parametrize(
     "build, error",
@@ -402,6 +409,13 @@ class TestPriorityMatrix:
     def test_zero_row_entry_rejected(self):
         with pytest.raises(NonPositiveEntry):
             PriorityMatrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
+
+    def test_bad_weight_named_by_row_and_column(self):
+        with pytest.raises(NonPositiveEntry, match=r"-1\.0 at row 2, column 2$") as exc:
+            PriorityMatrix([[0.5, 0.5], [0.2, -1.0]])
+        assert exc.value.index == (1, 1)
+        with pytest.raises(NonPositiveEntry, match=r"nan at entry 1$"):
+            close([0.5, np.nan])
 
 
 class TestPairStatistic:

@@ -441,3 +441,15 @@ class TestCredalValidation:
         monkeypatch.setattr(np.random, "default_rng", refuse)
         with pytest.raises(InsufficientSamples):
             credal_ranking(PriorityMatrix(np.array([[0.6, 0.3, 0.1]])), seed=1)
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -3), (0, 3), (3, 0), (1, 1)])
+    @pytest.mark.parametrize(
+        "pair_call",
+        [signed_rank_summary, sign_test, lambda W, i, j: bayesian_signed_rank(W, i, j, seed=1)],
+        ids=["signed_rank_summary", "sign_test", "bayesian_signed_rank"],
+    )
+    def test_pair_index_outside_the_criteria_rejected(self, pair_call, i, j):
+        # a negative index must not wrap, one past n must not escape as IndexError
+        W = PriorityMatrix(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]))
+        with pytest.raises(InputError, match=r"need two distinct criteria in \[0, 3\)"):
+            pair_call(W, i, j)
