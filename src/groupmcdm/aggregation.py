@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import (
+    CONSISTENCY_TOL,
     Composition,
     PriorityMatrix,
     clr,
@@ -31,7 +32,7 @@ from .composition import (
     pair_differences,
     pair_statistic,
 )
-from .errors import InsufficientSamples, InputError, NumericError, WeightDimensionMismatch
+from .errors import InputError, NumericError, WeightDimensionMismatch
 
 AMM = "amm"
 GMM = "gmm"
@@ -96,10 +97,13 @@ def aggregate_amm(W: PriorityMatrix) -> AggregationResult:
 
 
 def _dm_weights(W: PriorityMatrix, dm_weights) -> np.ndarray:
-    """``dm_weights`` as floats, checked to hold one weight per DM of ``W``."""
+    """``dm_weights`` as floats: one per DM of ``W``, finite, non-negative, unit-sum."""
     lam = np.asarray(dm_weights, dtype=float)
     if lam.shape != (W.n_dms,):
         raise WeightDimensionMismatch(f"{lam.size} weights for {W.n_dms} decision-makers")
+    # a NaN or an infinity fails one of the two tests
+    if not ((lam >= 0).all() and abs(lam.sum() - 1.0) <= CONSISTENCY_TOL):
+        raise InputError("DM weights must be finite, non-negative and sum to 1")
     return lam
 
 
@@ -168,14 +172,12 @@ def aggregate_awgmm(
     4. sigma^2 = sum_k ||What_k - wg||^2 / n^2
 
     The scale is initialized by applying step 4 at the starting point. When
-    the scale underflows (all DMs numerically identical) the result equals
-    the geometric mean with uniform DM weights rather than failing.
+    it underflows (all DMs numerically identical, as one DM always is) the
+    result is the geometric mean with uniform DM weights, converged at once.
     """
     if opts is None:
         opts = AwgmmOptions()
     K, n = W.n_dms, W.n_criteria
-    if K < 2:
-        raise InsufficientSamples("AWGMM needs at least two decision-makers")
     denom = opts.sigma_denominator if opts.sigma_denominator is not None else n * n
 
     # on clr, n * ||x - g||^2 is the squared pairwise log-ratio distance

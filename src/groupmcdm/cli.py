@@ -166,10 +166,7 @@ class Report:
     def to_json(self) -> str:
         # the held dicts are plain data already: no copy before dumping
         plain = {"config": self.config, "results": self.results, "warnings": self.warnings}
-        try:
-            return json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        except ValueError as exc:  # NaN or infinity is not JSON
-            raise NumericError(f"non-finite value in the report: {exc}") from None
+        return json.dumps(plain, sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [f"command: {self.config['command']}"]
@@ -198,23 +195,14 @@ def _awgmm_options(config: RunConfig) -> aggregation.AwgmmOptions:
 
 def cmd_aggregate(config: RunConfig) -> Report:
     W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
+    opts = _awgmm_options(config)  # checked whichever method runs
     if config.method == aggregation.AMM:
         result = aggregation.aggregate_amm(W)
         notes.append(AMM_WARNING)
     elif config.method == aggregation.GMM:
         result = aggregation.aggregate_gmm(W)
     elif config.method == aggregation.AWGMM:
-        if W.n_dms == 1:
-            # aggregation of a single DM is the identity
-            result = aggregation.AggregationResult(
-                weights=W.row(0),
-                method=aggregation.AWGMM,
-                dm_weights=np.array([1.0]),
-                converged=True,
-            )
-        else:
-            result = aggregation._converged(
-                aggregation.aggregate_awgmm(W, _awgmm_options(config)))
+        result = aggregation._converged(aggregation.aggregate_awgmm(W, opts))
     else:
         raise InputError(f"unknown aggregation method {config.method!r}")
 
@@ -334,6 +322,15 @@ def cmd_cluster(config: RunConfig) -> Report:
     if config.with_baseline:
         results["baseline"]["fallacious_baseline"] = True
     return Report(config=asdict(config), results=results, warnings=notes)
+
+
+def _finite(value) -> bool:
+    """Whether every float in ``value``, a tree of dicts and lists, is finite."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _fmt(x: float) -> str:
@@ -498,6 +495,9 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         report = COMMANDS[config.command](config)
+        # one rule for every format: no NaN or infinity reaches stdout
+        if not _finite(report.results):
+            raise NumericError("non-finite value in the report")
         if config.output_format == "json":
             sys.stdout.write(report.to_json())
         elif config.output_format == "dot":

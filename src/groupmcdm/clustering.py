@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import PriorityMatrix, close, closed_exp, clr
-from .errors import DimensionMismatch, InputError, TooManyClusters
+from .errors import DimensionMismatch, InputError, TooManyClusters, _check_seed
 
 AITCHISON = "aitchison"
 MADC = "madc"
@@ -160,7 +160,8 @@ def _kmeans(W, o, distance, seed, max_iter, restarts, init_indices) -> ClusterMo
     earliest restart.
     """
     if not 1 <= o <= W.n_dms:
-        raise TooManyClusters(f"o={o} with {W.n_dms} decision-makers")
+        raise TooManyClusters(f"need 1 to {W.n_dms} clusters, got {o}")
+    _check_seed(seed)
     if max_iter < 1:
         raise InputError("max_iter must be at least 1")
     if restarts < 1:

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .composition import PriorityMatrix, block_width, pair_indices, pair_statistic
-from .errors import AllZeroRatios, InputError, InsufficientSamples
+from .errors import AllZeroRatios, InputError, InsufficientSamples, _check_seed
 
 BAYES_WILCOXON = "bayes-wilcoxon"
 SIGN_TEST = "sign"
@@ -190,16 +190,25 @@ def _walsh_sign_posteriors(V: np.ndarray, g: np.ndarray) -> np.ndarray:
     return wins / S
 
 
+def _check_knobs(mc_samples: int = 1000, prior_weight: float = 1.0,
+                 prior_a: float = 1.0, prior_b: float = 1.0) -> None:
+    """The one range rule of each credal knob, checked whichever test uses it."""
+    if mc_samples < 1000:
+        raise InputError("mc_samples must be at least 1000")
+    if not 0 < prior_weight < np.inf:
+        raise InputError("prior_weight must be positive and finite")
+    if not (0 < prior_a < np.inf and 0 < prior_b < np.inf):
+        raise InputError("beta prior parameters must be positive and finite")
+
+
 def _bayes_posteriors(values: np.ndarray, mc_samples: int, seed,
                       prior_weight: float) -> np.ndarray:
     """P(column i outweighs column j), i < j, of (K, n) ``values``, on one draw."""
     K = values.shape[0]
     if K < 2:
         raise InsufficientSamples("the Bayesian signed-rank test needs K >= 2")
-    if mc_samples < 1000:
-        raise InputError("mc_samples must be at least 1000")
-    if not prior_weight > 0:
-        raise InputError("prior_weight must be positive")
+    _check_knobs(mc_samples=mc_samples, prior_weight=prior_weight)
+    _check_seed(seed)
     alpha = np.concatenate(([prior_weight], np.ones(K)))
     g = np.random.default_rng(seed).dirichlet(alpha, size=mc_samples)
     # a zero first row heads each block with the pseudo-observation 0
@@ -214,8 +223,7 @@ def _sign_posteriors(values: np.ndarray, prior_a: float, prior_b: float) -> np.n
     function that imports scipy, on call: other commands load numpy alone."""
     from scipy.special import betainc
 
-    if not (prior_a > 0 and prior_b > 0):
-        raise InputError("beta prior parameters must be positive")
+    _check_knobs(prior_a=prior_a, prior_b=prior_b)
     # P(Beta(a + s, b + f) > 1/2) = I_{1/2}(b + f, a + s)
     return pair_statistic(values, lambda d, _: betainc(
         prior_b + (d < 0).sum(axis=0), prior_a + (d > 0).sum(axis=0), 0.5))
@@ -301,8 +309,9 @@ def credal_ranking(
 ) -> CredalRanking:
     """One credal ordering per unordered criterion pair, i < j.
 
-    Arguments are validated before the Bayesian test's one draw per panel.
+    Every knob is validated, used or not, before the Bayesian test's one draw.
     """
+    _check_knobs(mc_samples, prior_weight, prior_a, prior_b)
     if test == BAYES_WILCOXON:
         p = _bayes_posteriors(W.values, mc_samples, seed, prior_weight)
     elif test == SIGN_TEST:

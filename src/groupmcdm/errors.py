@@ -5,6 +5,8 @@ arguments (the CLI exits with code 2), :class:`NumericError` covers numeric
 and convergence failures discovered during computation (exit code 3).
 """
 
+import numbers
+
 
 class GroupMcdmError(Exception):
     """Base class for all errors raised by this package."""
@@ -16,6 +18,12 @@ class InputError(GroupMcdmError, ValueError):
 
 class NumericError(GroupMcdmError, ArithmeticError):
     """Numeric or convergence failure during computation."""
+
+
+def _check_seed(seed) -> None:
+    """The one seed rule of the library: None or a non-negative integer."""
+    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InputError(f"seed must be None or a non-negative integer, got {seed!r}")
 
 
 def position(index) -> str:

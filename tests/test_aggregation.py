@@ -16,7 +16,7 @@ from groupmcdm import (
     check_pareto,
 )
 from groupmcdm.composition import consistency_violation, pair_indices
-from groupmcdm.errors import InputError, InsufficientSamples, WeightDimensionMismatch
+from groupmcdm.errors import InputError, WeightDimensionMismatch
 
 from conftest import EXAMPLE_W, random_matrix
 
@@ -281,9 +281,13 @@ class TestAwgmm:
         assert result.iterations == 1
         assert not result.converged
 
-    def test_requires_two_dms(self):
-        with pytest.raises(InsufficientSamples):
-            aggregate_awgmm(PriorityMatrix(EXAMPLE_W[:1]))
+    def test_one_dm_is_its_own_aggregate(self):
+        # a panel whose DMs all agree: uniform DM weights, converged at once
+        W = PriorityMatrix(EXAMPLE_W[:1])
+        result = aggregate_awgmm(W)
+        assert result.dm_weights.tolist() == [1.0]
+        assert result.converged and result.iterations == 1
+        np.testing.assert_array_equal(result.weights.parts, aggregate_gmm(W).weights.parts)
 
     def test_option_validation(self):
         with pytest.raises(InputError):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,15 +154,20 @@ class TestAggregateCommand:
 
     def test_single_dm_any_method(self, tmp_path, capsys):
         path = write_csv(tmp_path / "w.csv", "a,b,c\n0.5,0.3,0.2\n")
+        results = {}
         for method in ("amm", "gmm", "awgmm"):
             code, out, _ = run_cli(
                 capsys, "aggregate", "--input", path, "--method", method
             )
             assert code == 0
-            report = json.loads(out)
+            results[method] = json.loads(out)["results"]
             np.testing.assert_allclose(
-                report["results"]["weights"]["values"], [0.5, 0.3, 0.2], atol=1e-12
+                results[method]["weights"]["values"], [0.5, 0.3, 0.2], atol=1e-12
             )
+        # AWGMM's own answer for a panel whose DMs all agree
+        awgmm = results["awgmm"]
+        assert awgmm["weights"] == results["gmm"]["weights"]
+        assert (awgmm["dm_weights"], awgmm["iterations"], awgmm["converged"]) == ([1.0], 1, True)
 
     def test_not_converged_is_numeric_failure(self, capsys, example_csv):
         code, out, err = run_cli(
@@ -588,18 +594,62 @@ def test_cli_branches(tmp_path, text, argv, code, expected):
     assert (err if code == 0 else out) == ""
 
 
+def _nan_in_xi(results):
+    results["ad_arrays"]["mean"]["xi"][0][1] = math.nan
+
+
+def _nan_in_combined(results):
+    results["ad_arrays"]["mean"]["combined"][0][1] = math.nan
+
+
+def _nan_in_ordering(results):
+    results["orderings"][0].update(p_greater=math.nan, confidence=math.nan)
+
+
 def test_non_finite_result_exits_3_with_nothing_on_stdout(monkeypatch, example_csv):
-    describe = COMMANDS["describe"]
+    # one rule for every format, checked before any renderer runs
+    for argv, poison in (
+        (["describe"], _nan_in_xi),
+        (["describe", "--format", "text"], _nan_in_combined),
+        (["rank", "--test", "sign", "--format", "dot"], _nan_in_ordering),
+    ):
+        command = COMMANDS[argv[0]]
 
-    def with_nan(config):
-        report = describe(config)
-        report.results["ad_arrays"]["mean"]["xi"][0][1] = math.nan
-        return report
+        def with_nan(config, command=command, poison=poison):
+            report = command(config)
+            poison(report.results)
+            return report
 
-    monkeypatch.setitem(COMMANDS, "describe", with_nan)
-    code, out, err = run_in_process(["describe", "--input", example_csv])
-    assert (code, out) == (3, "")
-    assert err.startswith("error: non-finite value in the report")
+        monkeypatch.setitem(COMMANDS, argv[0], with_nan)
+        code, out, err = run_in_process([*argv, "--input", example_csv])
+        assert (code, out, err) == (3, "", "error: non-finite value in the report\n"), argv
+
+
+ONE_DM = "a,b,c\n0.5,0.3,0.2\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (ONE_DM, ["aggregate", "--method", "awgmm", "--max-iter", "0"],
+         "max_iter must be at least 1"),
+        (EXAMPLE, ["aggregate", "--method", "gmm", "--max-iter", "-3", "--tol", "-1"],
+         "max_iter must be at least 1"),
+        (EXAMPLE, ["rank", "--test", "sign", "--mc-samples", "-5"],
+         "mc_samples must be at least 1000"),
+        (EXAMPLE, ["rank", "--seed", "1", "--prior-a", "0"],
+         "beta prior parameters must be positive"),
+        (EXAMPLE, ["cluster", "--seed", "1", "--clusters", "0"], "need 1 to 5 clusters, got 0"),
+        (EXAMPLE, ["cluster", "--seed", "1", "--clusters", "6"], "need 1 to 5 clusters, got 6"),
+    ],
+    ids=["one-dm-awgmm-max-iter-0", "gmm-unused-awgmm-knobs", "sign-unused-mc-samples",
+         "bayes-unused-prior-a", "zero-clusters", "clusters-past-k"],
+)
+def test_option_out_of_range_exits_2(tmp_path, text, argv, message):
+    path = write_csv(tmp_path / "w.csv", text)
+    code, out, err = run_in_process([*argv, "--input", path])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize(
@@ -797,8 +847,10 @@ def test_cli_contract(case, exits, tmp_path_factory):
         assert err.startswith("error:") and out == ""
     elif "dot" in argv:
         assert out.startswith("digraph credal {") and err == ""
+        assert not re.search(r"\b(nan|inf)\b", out)
     elif "text" in argv:
         assert out.startswith(f"command: {argv[0]}\n") and err == ""
+        assert not re.search(r"\b(nan|inf)\b", out)
     else:
         json.loads(out, parse_constant=_reject_constant)
         assert err == ""

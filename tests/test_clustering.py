@@ -222,6 +222,13 @@ class TestKmeansCompositional:
         with pytest.raises(InputError):
             kmeans_compositional(W, 2, distance="euclidean", seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_is_none_or_a_non_negative_integer(self, seed):
+        W = random_matrix(np.random.default_rng(52), 4, 3)
+        for fit in (kmeans_compositional, kmeans_standard_baseline):
+            with pytest.raises(InputError, match="seed must be None or a non-negative integer"):
+                fit(W, 2, seed=seed)
+
     def test_iteration_and_restart_validation(self):
         rng = np.random.default_rng(57)
         W = random_matrix(rng, 5, 3)

@@ -424,6 +424,15 @@ class TestCredalValidation:
             ({"prior_weight": 0.0}, InputError),
             ({"prior_weight": -1.0}, InputError),
             ({"test": "t-test"}, InputError),
+            # an infinite prior once gave p = 0.0 (Bayes) or 1.0 (sign) on every pair
+            ({"prior_weight": math.inf}, InputError),
+            ({"test": "sign", "prior_a": math.inf}, InputError),
+            # every knob is checked, whichever test runs
+            ({"test": "sign", "mc_samples": -5}, InputError),
+            ({"prior_b": 0.0}, InputError),
+            # a seed is None or a non-negative integer
+            ({"seed": -1}, InputError),
+            ({"seed": 1.5}, InputError),
         ],
     )
     def test_rejected_before_any_draw(self, monkeypatch, two_criteria_matrix, kwargs, error):
@@ -432,7 +441,7 @@ class TestCredalValidation:
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
         with pytest.raises(error):
-            credal_ranking(two_criteria_matrix, seed=1, **kwargs)
+            credal_ranking(two_criteria_matrix, **{"seed": 1, **kwargs})
 
     def test_one_dm_rejected_before_any_draw(self, monkeypatch):
         def refuse(*args, **kw):

@@ -153,6 +153,16 @@ class TestRobust:
         with pytest.raises(WeightDimensionMismatch):
             deviation_array_robust(example_matrix, [0.5, 0.5], xi)
 
+    @pytest.mark.parametrize("lam", [[math.nan, 0.5, 0.5], [-1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
+                             ids=["nan", "negative", "sum-6"])
+    def test_dm_weights_finite_non_negative_unit_sum(self, lam):
+        W = PriorityMatrix(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]))
+        xi = build_average_array(W, "mean")
+        with pytest.raises(InputError, match="DM weights must be finite, non-negative"):
+            build_average_array(W, "weighted", dm_weights=lam)
+        with pytest.raises(InputError, match="DM weights must be finite, non-negative"):
+            deviation_array_robust(W, lam, xi)
+
     @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (16,)])
     def test_average_array_shape_checked(self, example_matrix, shape):
         lam = np.full(5, 0.2)
