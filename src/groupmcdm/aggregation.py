@@ -32,7 +32,7 @@ from .composition import (
     pair_differences,
     pair_statistic,
 )
-from .errors import InputError, NumericError, WeightDimensionMismatch
+from .errors import InputError, NumericError, WeightDimensionMismatch, _check_integer
 
 AMM = "amm"
 GMM = "gmm"
@@ -63,8 +63,7 @@ class AwgmmOptions:
     force_identity_estimator: bool = False
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise InputError("max_iter must be at least 1")
+        _check_integer(self.max_iter, "max_iter", 1)
         if not self.tol > 0:
             raise InputError("tol must be positive")
         if self.sigma_denominator is not None and not self.sigma_denominator > 0:

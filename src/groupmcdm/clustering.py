@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import PriorityMatrix, close, closed_exp, clr
-from .errors import DimensionMismatch, InputError, TooManyClusters, _check_seed
+from .errors import DimensionMismatch, InputError, TooManyClusters, _check_integer, _check_seed
 
 AITCHISON = "aitchison"
 MADC = "madc"
@@ -161,11 +161,10 @@ def _kmeans(W, o, distance, seed, max_iter, restarts, init_indices) -> ClusterMo
     """
     if not 1 <= o <= W.n_dms:
         raise TooManyClusters(f"need 1 to {W.n_dms} clusters, got {o}")
+    _check_integer(o, "o", 1)
     _check_seed(seed)
-    if max_iter < 1:
-        raise InputError("max_iter must be at least 1")
-    if restarts < 1:
-        raise InputError("restarts must be at least 1")
+    _check_integer(max_iter, "max_iter", 1)
+    _check_integer(restarts, "restarts", 1)
     reprs = W.values if distance == EUCLIDEAN else clr(W.values)
     best = None
     n_restarts = 1 if init_indices is not None else restarts

@@ -17,10 +17,12 @@ Both tests score (min(i, j), max(i, j)) and complement a reversed pair, so
 for either test the pair call equals ``credal_ranking(...).ordering(i, j)``.
 
 Determinism: the Bayesian test's Dirichlet weights index the DMs, not the
-criterion pairs, so a panel makes one draw of S weight vectors from
+criterion pairs, so a panel makes one stream of S weight vectors from
 ``default_rng(seed)`` and scores every pair against it. A pair's posterior
 thus depends only on its log-ratios, the seed, S and the prior, and
-relabelling the criteria permutes the ranking exactly.
+relabelling the criteria permutes the ranking exactly. Drawn in chunks of at
+most ``_DRAW_BLOCK`` elements, the stream needs no memory growing with S
+and gives the seeded output of one draw: the chunks continue it exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .composition import PriorityMatrix, block_width, pair_indices, pair_statistic
-from .errors import AllZeroRatios, InputError, InsufficientSamples, _check_seed
+from .errors import AllZeroRatios, InputError, InsufficientSamples, _check_integer, _check_seed
 
 BAYES_WILCOXON = "bayes-wilcoxon"
 SIGN_TEST = "sign"
@@ -146,16 +148,19 @@ class CredalOrdering:
 #: Largest K + 1 scored by the matrix-product form, O(S K^2) per pair in
 #: BLAS; above it the sorted prefix-sum form, O(S K log K) per pair, wins.
 _MATRIX_FORM_MAX = 48
+#: Elements per chunk of the S Dirichlet draws, so memory does not grow with S.
+_DRAW_BLOCK = 1 << 17
 
 
-def _walsh_sign_posteriors(V: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """P(stat > 0) + P(stat = 0) / 2 for each column of V under draws g.
+def _walsh_wins(V: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Draws with stat > 0, plus half those with stat = 0, per column of V.
 
     V (K+1, pairs) holds each pair's log-ratios below the pseudo-observation
     0; g (S, K+1) holds the draws. stat = sum_{a<=b} g_a g_b sign(v_a + v_b).
-    The matrix form signs all pairs at once: pass at most block_width(m(m+1)/2).
-    Counting exact zeros as one half maps all-equal data to 0.5 and makes the
-    posteriors of V and -V sum to exactly 1.
+    The matrix form signs all pairs at once: given block_width(m(m+1)/2) pairs
+    or fewer, its sign block keeps within PAIR_BLOCK elements. Counting exact
+    zeros as one half maps all-equal data to S/2, makes the counts of V and -V
+    sum to exactly S, and makes counts add exactly over chunks of draws.
     """
     S, m = g.shape
     wins = np.zeros(V.shape[1])
@@ -172,29 +177,36 @@ def _walsh_sign_posteriors(V: np.ndarray, g: np.ndarray) -> np.ndarray:
             weights *= g[s:s + step, b]
             stat = weights @ signs
             wins += (stat > 0).sum(axis=0) + 0.5 * (stat == 0).sum(axis=0)
-        return wins / S
+        return wins
     # twice stat: each a weighs the g-mass above -v_a minus the mass below it,
     # read off prefix sums of g in ascending order of v
     step = block_width(m)
     for p, v in enumerate(V.T):
         order = np.argsort(v, kind="stable")
-        below = np.searchsorted(v[order], -v, side="left")
-        upto = np.searchsorted(v[order], -v, side="right")
+        ordered = v[order]
+        # the keys -v in ascending order search fastest; scatter back through order
+        below, upto = np.empty((2, m), dtype=np.intp)
+        below[order[::-1]] = np.searchsorted(ordered, -ordered[::-1], side="left")
+        upto[order[::-1]] = np.searchsorted(ordered, -ordered[::-1], side="right")
+        sv = np.sign(v)
         for s in range(0, S, step):
             chunk = g[s:s + step]
             prefix = np.zeros((chunk.shape[0], m + 1))
             np.cumsum(np.take(chunk, order, axis=1), axis=1, out=prefix[:, 1:])
-            mass = prefix[:, -1:] - np.take(prefix, upto, axis=1) - np.take(prefix, below, axis=1)
-            stat = np.einsum("sa,sa->s", chunk, mass + chunk * np.sign(v))
+            # in place, in the order of total - upto - below + chunk * sv
+            mass = prefix.take(upto, axis=1)
+            np.subtract(prefix[:, -1:], mass, out=mass)
+            mass -= prefix.take(below, axis=1)
+            mass += chunk * sv
+            stat = np.einsum("sa,sa->s", chunk, mass)
             wins[p] += (stat > 0).sum() + 0.5 * (stat == 0).sum()
-    return wins / S
+    return wins
 
 
 def _check_knobs(mc_samples: int = 1000, prior_weight: float = 1.0,
                  prior_a: float = 1.0, prior_b: float = 1.0) -> None:
     """The one range rule of each credal knob, checked whichever test uses it."""
-    if mc_samples < 1000:
-        raise InputError("mc_samples must be at least 1000")
+    _check_integer(mc_samples, "mc_samples", 1000)
     if not 0 < prior_weight < np.inf:
         raise InputError("prior_weight must be positive and finite")
     if not (0 < prior_a < np.inf and 0 < prior_b < np.inf):
@@ -203,18 +215,23 @@ def _check_knobs(mc_samples: int = 1000, prior_weight: float = 1.0,
 
 def _bayes_posteriors(values: np.ndarray, mc_samples: int, seed,
                       prior_weight: float) -> np.ndarray:
-    """P(column i outweighs column j), i < j, of (K, n) ``values``, on one draw."""
+    """P(column i outweighs column j), i < j, of (K, n) ``values``, on one stream."""
     K = values.shape[0]
     if K < 2:
         raise InsufficientSamples("the Bayesian signed-rank test needs K >= 2")
     _check_knobs(mc_samples=mc_samples, prior_weight=prior_weight)
     _check_seed(seed)
     alpha = np.concatenate(([prior_weight], np.ones(K)))
-    g = np.random.default_rng(seed).dirichlet(alpha, size=mc_samples)
+    rng = np.random.default_rng(seed)
+    rows = max(1, _DRAW_BLOCK // (K + 1))
     # a zero first row heads each block with the pseudo-observation 0
-    return pair_statistic(np.vstack((np.zeros(values.shape[1]), np.log(values))),
-                          lambda V, _: _walsh_sign_posteriors(V, g),
-                          block_width((K + 1) * (K + 2) // 2))
+    x = np.vstack((np.zeros(values.shape[1]), np.log(values)))
+    wins = 0.0
+    for s in range(0, mc_samples, rows):
+        g = rng.dirichlet(alpha, size=min(rows, mc_samples - s))
+        wins += pair_statistic(x, lambda V, _: _walsh_wins(V, g),
+                               block_width((K + 1) * (K + 2) // 2))
+    return wins / mc_samples
 
 
 def _sign_posteriors(values: np.ndarray, prior_a: float, prior_b: float) -> np.ndarray:

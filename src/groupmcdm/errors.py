@@ -26,6 +26,14 @@ def _check_seed(seed) -> None:
         raise InputError(f"seed must be None or a non-negative integer, got {seed!r}")
 
 
+def _check_integer(value, name: str, floor: int) -> None:
+    """The one rule of an integer knob: a ``numbers.Integral`` at or above ``floor``."""
+    if not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise InputError(f"{name} must be at least {floor}")
+
+
 def position(index) -> str:
     """``entry k`` at vector index k; ``row r, column c``, 1-based, at matrix index (r, c)."""
     if isinstance(index, tuple):

@@ -292,6 +292,8 @@ class TestAwgmm:
     def test_option_validation(self):
         with pytest.raises(InputError):
             AwgmmOptions(max_iter=0)
+        with pytest.raises(InputError, match="max_iter must be an integer, got 2.5"):
+            AwgmmOptions(max_iter=2.5)
         with pytest.raises(InputError):
             AwgmmOptions(tol=0.0)
         with pytest.raises(InputError):

@@ -329,6 +329,16 @@ class TestRankCommand:
         assert orderings[0]["relation"] == "<"
         assert orderings[0]["p_greater"] == pytest.approx(697 / 65536, abs=1e-12)
 
+    @pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+    def test_output_does_not_depend_on_the_draw_chunk(self, monkeypatch, capsys, example_csv, fmt):
+        argv = ["rank", "--input", example_csv, "--seed", "77", "--mc-samples", "2000",
+                "--format", fmt]
+        assert main(list(argv)) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setattr(credal, "_DRAW_BLOCK", 1)  # one draw per chunk
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == default
+
     def test_json_lists_all_pairs(self, capsys, example_csv):
         code, out, _ = run_cli(
             capsys, "rank", "--input", example_csv, "--seed", "5",

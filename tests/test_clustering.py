@@ -237,6 +237,15 @@ class TestKmeansCompositional:
                 with pytest.raises(InputError, match="must be at least 1"):
                     fit(W, 2, seed=1, **bad)
 
+    def test_integer_knobs_reject_non_integers(self):
+        # a float once escaped as a bare TypeError from range()
+        W = random_matrix(np.random.default_rng(57), 5, 3)
+        for fit in (kmeans_compositional, kmeans_standard_baseline):
+            for o, bad, name in ((2.0, {}, "o"), (2, {"restarts": 2.5}, "restarts"),
+                                 (2, {"max_iter": 2.5}, "max_iter")):
+                with pytest.raises(InputError, match=f"{name} must be an integer"):
+                    fit(W, o, seed=1, **bad)
+
     def test_one_distance_matrix_per_centroid_set(self, monkeypatch):
         from groupmcdm import clustering
 

@@ -324,7 +324,7 @@ class TestWalshKernel:
         V = tied_log_ratios(rng, n_dms, 5)
         g = rng.dirichlet(np.r_[0.7, np.ones(n_dms)], size=1000)
         np.testing.assert_array_equal(
-            credal._walsh_sign_posteriors(V, g), sign_sum_posterior(V, g)
+            credal._walsh_wins(V, g) / len(g), sign_sum_posterior(V, g)
         )
 
     @pytest.mark.parametrize("n_dms", [2, 5, 30, 70])
@@ -335,7 +335,7 @@ class TestWalshKernel:
         forms = []
         for largest in (n_dms + 1, 0):  # matrix-product form, then sorted form
             monkeypatch.setattr(credal, "_MATRIX_FORM_MAX", largest)
-            forms.append(credal._walsh_sign_posteriors(V, g))
+            forms.append(credal._walsh_wins(V, g) / len(g))
         np.testing.assert_array_equal(forms[0], forms[1])
 
     def test_mirror_is_exact_complement(self):
@@ -343,13 +343,13 @@ class TestWalshKernel:
         for n_dms in (4, 200):
             V = tied_log_ratios(rng, n_dms, 20)
             g = rng.dirichlet(np.ones(n_dms + 1), size=1000)
-            p = credal._walsh_sign_posteriors(V, g)
-            q = credal._walsh_sign_posteriors(-V, g)
+            p = credal._walsh_wins(V, g) / len(g)
+            q = credal._walsh_wins(-V, g) / len(g)
             assert np.all(p + q == 1.0)
             assert p[0] == 0.5
 
     def test_memory_stays_linear_in_dms(self):
-        # the draws take S (K+1) floats; a (K+1)^2 sign matrix would be 72 MB
+        # three S (K+1)-float draws; a (K+1)^2 sign matrix would be 72 MB
         rng = np.random.default_rng(91)
         W = random_matrix(rng, 3000, 3)
         draws = 1000 * (W.n_dms + 1) * 8
@@ -360,6 +360,38 @@ class TestWalshKernel:
         finally:
             tracemalloc.stop()
         assert peak < 3 * draws
+
+
+class TestDrawChunks:
+    @pytest.mark.parametrize("prior_weight", [0.05, 1.0, 3.0])
+    @pytest.mark.parametrize("n_dms", [2, 5, 47, 48, 300])  # matrix form up to K + 1 = 48
+    def test_any_chunk_size_gives_the_default_ranking(self, monkeypatch, n_dms, prior_weight):
+        # integer weights give zero and mirrored log-ratios, so stat = 0 occurs
+        rng = np.random.default_rng(94 + n_dms)
+        W = PriorityMatrix(rng.integers(1, 4, size=(n_dms, 4)).astype(float))
+
+        def posteriors():
+            ranking = credal_ranking(W, seed=23, mc_samples=1000, prior_weight=prior_weight)
+            return [o.p_greater for o in ranking.orderings]
+
+        default = posteriors()
+        for rows in (1, 7, 1001):  # one draw, an odd count, more than S
+            monkeypatch.setattr(credal, "_DRAW_BLOCK", rows * (n_dms + 1))
+            assert posteriors() == default
+
+    def test_peak_memory_does_not_grow_with_draws(self):
+        # one draw of all S (K+1) weights would take 24 MB at S = 10^4
+        W = random_matrix(np.random.default_rng(95), 300, 3)
+        peaks = []
+        for mc_samples in (1000, 10_000):
+            tracemalloc.start()
+            try:
+                credal_ranking(W, seed=1, mc_samples=mc_samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 4e6
 
 
 class TestSharedStream:
@@ -421,6 +453,8 @@ class TestCredalValidation:
         "kwargs, error",
         [
             ({"mc_samples": 999}, InputError),
+            # a non-integer count once escaped numpy as a bare TypeError
+            ({"mc_samples": 1000.5}, InputError),
             ({"prior_weight": 0.0}, InputError),
             ({"prior_weight": -1.0}, InputError),
             ({"test": "t-test"}, InputError),
