@@ -53,8 +53,9 @@ class AwgmmOptions:
     ``sigma_denominator`` overrides the denominator of the scale update
     sigma^2 = sum_k ||What_k - wg||^2 / denominator (default n^2 with n the
     number of criteria). ``force_identity_estimator`` replaces the Welsch
-    kernel by the identity, which collapses the method onto the plain
-    geometric mean and is useful for cross-checks.
+    kernel by the identity, the Welsch kernel at an infinite scale, which
+    collapses the method onto the plain geometric mean and is useful for
+    cross-checks. ``tol`` and ``sigma_denominator`` must be positive and finite.
     """
 
     max_iter: int = 500
@@ -64,10 +65,10 @@ class AwgmmOptions:
 
     def __post_init__(self):
         _check_integer(self.max_iter, "max_iter", 1)
-        if not self.tol > 0:
-            raise InputError("tol must be positive")
-        if self.sigma_denominator is not None and not self.sigma_denominator > 0:
-            raise InputError("sigma_denominator must be positive")
+        if not 0 < self.tol < np.inf:
+            raise InputError("tol must be positive and finite")
+        if self.sigma_denominator is not None and not 0 < self.sigma_denominator < np.inf:
+            raise InputError("sigma_denominator must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,6 +174,8 @@ def aggregate_awgmm(
     The scale is initialized by applying step 4 at the starting point. When
     it underflows (all DMs numerically identical, as one DM always is) the
     result is the geometric mean with uniform DM weights, converged at once.
+    ``opts.force_identity_estimator`` weights every DM equally: the Welsch
+    kernel at an infinite scale, so step 1 gives alpha_k = 1.
     """
     if opts is None:
         opts = AwgmmOptions()
@@ -182,28 +185,30 @@ def aggregate_awgmm(
     # on clr, n * ||x - g||^2 is the squared pairwise log-ratio distance
     what = clr(W.values)
     wg = what.mean(axis=0)
-    sigma2 = float(n * ((what - wg) ** 2).sum() / denom)
+    # one residual array per iterate: it gives both the scale and the distances
+    sq = (what - wg) ** 2
+    sigma2 = float(n * sq.sum() / denom)
     trace = [sigma2]
     lam = np.full(K, 1.0 / K)
     converged = False
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
-        if opts.force_identity_estimator:
-            alpha = np.ones(K)
-        elif sigma2 < DEGENERATE_SIGMA2:
-            # zero spread: every DM already sits at the group vector
-            lam = np.full(K, 1.0 / K)
+        # the identity estimator is the Welsch kernel at an infinite scale
+        scale = np.inf if opts.force_identity_estimator else sigma2
+        if scale < DEGENERATE_SIGMA2:
+            # zero spread: every DM already sits at the group vector. The mean
+            # minimises the spread, so this is iteration 1: lambda is uniform
             converged = True
             break
-        else:
-            sq_dist = n * ((what - wg) ** 2).sum(axis=1)
-            # shifting by the nearest DM leaves lambda unchanged; unshifted,
-            # every alpha underflows to 0 once all distances pass ~745 sigma^2
-            alpha = np.exp(-(sq_dist - sq_dist.min()) / sigma2)
+        sq_dist = n * sq.sum(axis=1)
+        # shifting by the nearest DM leaves lambda unchanged; unshifted,
+        # every alpha underflows to 0 once all distances pass ~745 sigma^2
+        alpha = np.exp(-(sq_dist - sq_dist.min()) / scale)
         lam = alpha / alpha.sum()
         wg_new = lam @ what
-        sigma2 = float(n * ((what - wg_new) ** 2).sum() / denom)
+        sq = (what - wg_new) ** 2
+        sigma2 = float(n * sq.sum() / denom)
         trace.append(sigma2)
         # the largest change of any pairwise log-ratio
         delta = float(np.ptp(wg_new - wg))

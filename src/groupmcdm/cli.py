@@ -193,8 +193,7 @@ def _awgmm_options(config: RunConfig) -> aggregation.AwgmmOptions:
     return aggregation.AwgmmOptions(config.max_iter, config.tol, config.sigma_denominator)
 
 
-def cmd_aggregate(config: RunConfig) -> Report:
-    W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
+def cmd_aggregate(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
     opts = _awgmm_options(config)  # checked whichever method runs
     if config.method == aggregation.AMM:
         result = aggregation.aggregate_amm(W)
@@ -226,11 +225,10 @@ def cmd_aggregate(config: RunConfig) -> Report:
                 f"DM{k} carries near-zero weight (deviant); a candidate for "
                 f"negotiation before aggregating"
             )
-    return Report(config=asdict(config), results=results, warnings=notes)
+    return results
 
 
-def cmd_describe(config: RunConfig) -> Report:
-    W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
+def cmd_describe(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
     arrays, opts = {}, _awgmm_options(config)
     for estimator in (dispersion.AD_MEAN, dispersion.AD_MEDIAN, dispersion.AD_AWGMM):
         ad = dispersion.average_deviation_array(W, estimator, opts)
@@ -239,12 +237,10 @@ def cmd_describe(config: RunConfig) -> Report:
             "tau": ad.tau.tolist(),
             "combined": ad.combined.tolist(),
         }
-    results = {"labels": list(W.labels), "ad_arrays": arrays}
-    return Report(config=asdict(config), results=results, warnings=notes)
+    return {"labels": list(W.labels), "ad_arrays": arrays}
 
 
-def cmd_rank(config: RunConfig) -> Report:
-    W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
+def cmd_rank(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
     ranking = credal.credal_ranking(
         W,
         test=config.test,
@@ -267,19 +263,16 @@ def cmd_rank(config: RunConfig) -> Report:
                 "equal_region": o.in_equal_region,
             }
         )
-    results = {
+    return {
         "test": ranking.test,
         "labels": list(W.labels),
         "mc_samples": ranking.mc_samples,
         "seed": ranking.seed,
         "orderings": orderings,
     }
-    return Report(config=asdict(config), results=results, warnings=notes)
 
 
-def cmd_cluster(config: RunConfig) -> Report:
-    W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
-
+def cmd_cluster(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
     def model_dict(model):
         return {
             "distance": model.distance,
@@ -321,7 +314,7 @@ def cmd_cluster(config: RunConfig) -> Report:
             notes.append(f"{key} K-means re-seeded {model.n_reseeds} empty cluster(s)")
     if config.with_baseline:
         results["baseline"]["fallacious_baseline"] = True
-    return Report(config=asdict(config), results=results, warnings=notes)
+    return results
 
 
 def _finite(value) -> bool:
@@ -481,6 +474,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**given)
 
 
+# each command maps (panel, config, loader notes) to its results, adding notes
 COMMANDS = {
     "aggregate": cmd_aggregate,
     "describe": cmd_describe,
@@ -494,10 +488,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        report = COMMANDS[config.command](config)
+        W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
+        results = COMMANDS[config.command](W, config, notes)
         # one rule for every format: no NaN or infinity reaches stdout
-        if not _finite(report.results):
+        if not _finite(results):
             raise NumericError("non-finite value in the report")
+        report = Report(config=asdict(config), results=results, warnings=notes)
         if config.output_format == "json":
             sys.stdout.write(report.to_json())
         elif config.output_format == "dot":

@@ -18,12 +18,13 @@ the compositional treatment.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .composition import PriorityMatrix, close, closed_exp, clr
-from .errors import DimensionMismatch, InputError, TooManyClusters, _check_integer, _check_seed
+from .errors import (DimensionMismatch, InputError, TooManyClusters, _check_integer,
+                     _check_seed, _is_integer)
 
 AITCHISON = "aitchison"
 MADC = "madc"
@@ -106,11 +107,11 @@ def _seed_indices(reprs: np.ndarray, o: int, rng, distance: str) -> list[int]:
     return chosen
 
 
-def _lloyd(reprs, o, rng, distance, max_iter, init_indices=None):
+def _lloyd(reprs, o, rng, distance, seed, max_iter, init_indices=None) -> ClusterModel:
     K = reprs.shape[0]
     if init_indices is None:
         init_indices = _seed_indices(reprs, o, rng, distance)
-    elif len(init_indices) != o or not all(0 <= int(k) < K for k in init_indices):
+    elif len(init_indices) != o or not all(_is_integer(k) and 0 <= k < K for k in init_indices):
         raise InputError(f"init_indices must be {o} row indices below {K}")
     centroids = reprs[list(init_indices)]
     # one distance matrix per centroid set: it serves both the objective of
@@ -150,7 +151,16 @@ def _lloyd(reprs, o, rng, distance, max_iter, init_indices=None):
         best = dists[np.arange(K), assignments]
         trace.append(float(best.sum() if distance == MADC else (best**2).sum()))
     # the first pass always moves off the -1 labels, so the trace is never empty
-    return centroids, assignments, trace[-1], iterations, tuple(trace), reseeds
+    return ClusterModel(
+        centroids=centroids,
+        assignments=assignments,
+        distance=distance,
+        inertia=trace[-1],
+        iterations=iterations,
+        seed=seed,
+        inertia_trace=tuple(trace),
+        n_reseeds=reseeds,
+    )
 
 
 def _kmeans(W, o, distance, seed, max_iter, restarts, init_indices) -> ClusterModel:
@@ -159,9 +169,9 @@ def _kmeans(W, o, distance, seed, max_iter, restarts, init_indices) -> ClusterMo
     Restart r draws from SeedSequence(seed, spawn_key=(r,)); ties go to the
     earliest restart.
     """
+    _check_integer(o, "o")  # typed before the range check compares it
     if not 1 <= o <= W.n_dms:
         raise TooManyClusters(f"need 1 to {W.n_dms} clusters, got {o}")
-    _check_integer(o, "o", 1)
     _check_seed(seed)
     _check_integer(max_iter, "max_iter", 1)
     _check_integer(restarts, "restarts", 1)
@@ -170,23 +180,13 @@ def _kmeans(W, o, distance, seed, max_iter, restarts, init_indices) -> ClusterMo
     n_restarts = 1 if init_indices is not None else restarts
     for restart in range(n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
-        fit = _lloyd(reprs, o, rng, distance, max_iter, init_indices)
-        if best is None or fit[2] < best[2]:
+        fit = _lloyd(reprs, o, rng, distance, seed, max_iter, init_indices)
+        if best is None or fit.inertia < best.inertia:
             best = fit
-    centroids, assignments, inertia, iterations, trace, reseeds = best
-    if distance != EUCLIDEAN:
-        # clr means back to the simplex: the closed geometric means
-        centroids = closed_exp(centroids)
-    return ClusterModel(
-        centroids=centroids,
-        assignments=assignments,
-        distance=distance,
-        inertia=inertia,
-        iterations=iterations,
-        seed=seed,
-        inertia_trace=trace,
-        n_reseeds=reseeds,
-    )
+    if distance == EUCLIDEAN:
+        return best
+    # clr means back to the simplex: the closed geometric means
+    return replace(best, centroids=closed_exp(best.centroids))
 
 
 def kmeans_compositional(

@@ -264,6 +264,17 @@ def expand_log_ratios(v) -> np.ndarray:
     return full
 
 
+def _finite_array(x, what: str) -> np.ndarray:
+    """``x`` as floats, or InputError naming the first NaN or infinity in it."""
+    x = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        k = tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
+        raise InputError(f"{what} must be finite, got {x[k]} at "
+                         f"{position(k if x.ndim == 2 else k[0])}")
+    return x
+
+
 def consistency_violation(xi: np.ndarray) -> float:
     """Largest additive-transitivity violation max |xi_ij - xi_ih - xi_hj|."""
     xi = np.asarray(xi, dtype=float)
@@ -290,16 +301,19 @@ def inverse_log_ratio(v, labels=None, tol: float = CONSISTENCY_TOL) -> Compositi
 
     Raises
     ------
+    InputError
+        If an entry of ``v`` is NaN or infinite.
     InconsistentLogRatios
         If the consistency violation exceeds ``tol``.
     """
+    v = _finite_array(v, "log-ratios")
     return _consistent_readout(expand_log_ratios(v), labels, tol, InconsistentLogRatios)
 
 
 def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Composition:
     """Read an aggregated composition off a compositional average array.
 
-    The array must be antisymmetric and additively consistent within ``tol``;
+    The array must be finite, antisymmetric and additively consistent within ``tol``;
     the composition is then the closed exponential of any column (the first
     is used).
     """
@@ -308,6 +322,7 @@ def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Compos
         raise DimensionMismatch(f"expected a square array, got shape {e.shape}")
     if e.shape[0] < 2:
         raise DimensionTooSmall(e.shape[0])
+    _finite_array(e, "average array")
     anti = float(np.max(np.abs(e + e.T)))
     if anti > tol:
         raise InconsistentArray(anti, tol, what="antisymmetry")

@@ -33,7 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .composition import PriorityMatrix, block_width, pair_indices, pair_statistic
-from .errors import AllZeroRatios, InputError, InsufficientSamples, _check_integer, _check_seed
+from .errors import (AllZeroRatios, InputError, InsufficientSamples, _check_integer,
+                     _check_seed, _is_integer)
 
 BAYES_WILCOXON = "bayes-wilcoxon"
 SIGN_TEST = "sign"
@@ -79,8 +80,9 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def _check_pair(W: PriorityMatrix, i: int, j: int) -> None:
-    """The one pair-index rule: i != j, both in [0, n)."""
-    if i == j or not (0 <= i < W.n_criteria and 0 <= j < W.n_criteria):
+    """The one pair-index rule: i != j, both integers in [0, n)."""
+    if not (_is_integer(i) and _is_integer(j) and i != j
+            and 0 <= i < W.n_criteria and 0 <= j < W.n_criteria):
         raise InputError(f"need two distinct criteria in [0, {W.n_criteria}), got {i} and {j}")
 
 

@@ -21,7 +21,8 @@ from .aggregation import (
     aggregate_awgmm,
     build_average_array,
 )
-from .composition import PriorityMatrix, expand_log_ratios, pair_indices, pair_statistic
+from .composition import (PriorityMatrix, _finite_array, expand_log_ratios, pair_indices,
+                          pair_statistic)
 from .errors import InputError, InsufficientSamples, WeightDimensionMismatch
 
 STD = "std"
@@ -80,7 +81,7 @@ def deviation_array_robust(W: PriorityMatrix, dm_weights, xi) -> DeviationArray:
 
     tau_ij = sqrt(sum_k lambda_k (ln(W_ki/W_kj) - xi_ij)^2), with ``dm_weights``
     the unit-sum weights from the robust aggregation and ``xi`` the matching
-    weighted average array, read above the diagonal.
+    weighted average array, read above the diagonal; both must be finite.
     """
     lam = _dm_weights(W, dm_weights)[:, None]
     xi = np.asarray(xi, dtype=float)
@@ -89,6 +90,7 @@ def deviation_array_robust(W: PriorityMatrix, dm_weights, xi) -> DeviationArray:
         raise WeightDimensionMismatch(
             f"average array shape {xi.shape} does not match {(n, n)}"
         )
+    _finite_array(xi, "average array")
     centre = xi[pair_indices(n)]
     # a sum, not lam @: a BLAS product's order of terms varies with the width
     return _deviation_array(

@@ -26,11 +26,16 @@ def _check_seed(seed) -> None:
         raise InputError(f"seed must be None or a non-negative integer, got {seed!r}")
 
 
-def _check_integer(value, name: str, floor: int) -> None:
-    """The one rule of an integer knob: a ``numbers.Integral`` at or above ``floor``."""
-    if not isinstance(value, numbers.Integral):
+def _is_integer(value) -> bool:
+    """The one integer rule of counts and indices: a ``numbers.Integral``, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_integer(value, name: str, floor: int | None = None) -> None:
+    """The one rule of an integer knob: an integer at or above ``floor``, if given."""
+    if not _is_integer(value):
         raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < floor:
+    if floor is not None and value < floor:
         raise InputError(f"{name} must be at least {floor}")
 
 

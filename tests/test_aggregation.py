@@ -299,6 +299,13 @@ class TestAwgmm:
         with pytest.raises(InputError):
             AwgmmOptions(sigma_denominator=-1.0)
 
+    @pytest.mark.parametrize("knob", ["tol", "sigma_denominator"])
+    def test_infinite_knob_rejected(self, knob):
+        # tol=inf once stopped after one iteration; sigma_denominator=inf
+        # reported uniform DM weights as converged
+        with pytest.raises(InputError, match=f"{knob} must be positive and finite"):
+            AwgmmOptions(**{knob: math.inf})
+
     def test_sigma_denominator_option_changes_weighting(self, example_matrix):
         default = aggregate_awgmm(example_matrix)
         wide = aggregate_awgmm(example_matrix, AwgmmOptions(sigma_denominator=80.0))

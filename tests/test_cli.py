@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from groupmcdm import aggregation, clustering, credal
 from groupmcdm.cli import (
     COMMANDS,
+    Report,
     RunConfig,
     _build_parser,
     _config_from_args,
-    cmd_aggregate,
     load_priorities,
     main,
 )
@@ -34,6 +34,13 @@ from groupmcdm.errors import (
 )
 
 from conftest import EXAMPLE_W
+
+
+def report_of(config):
+    """The Report that ``main`` renders for ``config``: load, command, echo."""
+    W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
+    results = COMMANDS[config.command](W, config, notes)
+    return Report(config=dataclasses.asdict(config), results=results, warnings=notes)
 
 
 def write_csv(path, text):
@@ -206,7 +213,7 @@ class TestAggregateCommand:
         assert np.all(np.isfinite(awgmm["xi"])) and np.all(np.isfinite(awgmm["tau"]))
 
     def test_report_round_trips(self, example_csv):
-        report = cmd_aggregate(RunConfig(command="aggregate", input=example_csv))
+        report = report_of(RunConfig(command="aggregate", input=example_csv))
         parsed = json.loads(report.to_json())
         assert parsed["results"] == json.loads(report.to_json())["results"]
         assert parsed["config"]["input"] == example_csv
@@ -252,7 +259,7 @@ class TestDescribeCommand:
         # aggregate does: one iteration stops short of convergence
         config = RunConfig(command="describe", input=example_csv, max_iter=1)
         with pytest.raises(NumericError, match="within 1 iterations"):
-            COMMANDS["describe"](config)
+            report_of(config)
 
     def test_text_cells_stay_apart(self, tmp_path, capsys):
         # log-ratios near -736 format wider than the column labels
@@ -562,7 +569,7 @@ class TestExitCodesAndDeterminism:
 def test_json_layout_matches_dataclass_dump(argv, example_csv):
     # the dump of the whole dataclass is the layout the JSON has always had
     args = _build_parser().parse_args([*argv, "--input", example_csv])
-    report = COMMANDS[args.command](_config_from_args(args))
+    report = report_of(_config_from_args(args))
     expected = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
     assert report.to_json() == expected
 
@@ -625,10 +632,10 @@ def test_non_finite_result_exits_3_with_nothing_on_stdout(monkeypatch, example_c
     ):
         command = COMMANDS[argv[0]]
 
-        def with_nan(config, command=command, poison=poison):
-            report = command(config)
-            poison(report.results)
-            return report
+        def with_nan(W, config, notes, command=command, poison=poison):
+            results = command(W, config, notes)
+            poison(results)
+            return results
 
         monkeypatch.setitem(COMMANDS, argv[0], with_nan)
         code, out, err = run_in_process([*argv, "--input", example_csv])

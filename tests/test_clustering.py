@@ -135,8 +135,9 @@ def log_space_lloyd(reprs, init_idx, max_iter=300):
     return centroids, assignments
 
 
-@pytest.mark.parametrize("init", [(0,), (0, 1, 2), (0, 5), (-1, 0)],
-                         ids=["short", "long", "past-the-end", "negative"])
+@pytest.mark.parametrize(
+    "init", [(0,), (0, 1, 2), (0, 5), (-1, 0), (0.5, 1.0), ("0", "1"), (True, False)],
+    ids=["short", "long", "past-the-end", "negative", "float", "str", "bool"])
 def test_init_indices_validated(init):
     W = PriorityMatrix(np.array([[0.2, 0.8], [0.5, 0.5], [0.7, 0.3], [0.9, 0.1], [0.4, 0.6]]))
     for fit in (kmeans_compositional, kmeans_standard_baseline):
@@ -242,7 +243,9 @@ class TestKmeansCompositional:
         W = random_matrix(np.random.default_rng(57), 5, 3)
         for fit in (kmeans_compositional, kmeans_standard_baseline):
             for o, bad, name in ((2.0, {}, "o"), (2, {"restarts": 2.5}, "restarts"),
-                                 (2, {"max_iter": 2.5}, "max_iter")):
+                                 (2, {"max_iter": 2.5}, "max_iter"), (None, {}, "o"),
+                                 ("2", {}, "o"), (True, {}, "o"),
+                                 (2, {"restarts": True}, "restarts")):
                 with pytest.raises(InputError, match=f"{name} must be an integer"):
                     fit(W, o, seed=1, **bad)
 

@@ -185,6 +185,16 @@ class TestInverseLogRatio:
         with pytest.raises(DimensionMismatch):
             inverse_log_ratio(np.zeros(4))  # 4 is not n(n-1)/2
 
+    def test_nan_log_ratio_rejected_as_non_finite(self):
+        # NaN once passed the consistency test and was named a non-positive weight
+        with pytest.raises(InputError, match="log-ratios must be finite, got nan at entry 0"):
+            inverse_log_ratio([math.nan])
+
+    def test_infinite_log_ratio_rejected_before_arithmetic(self):
+        # inf once warned inf - inf in the consistency test, then underflowed a weight
+        with pytest.raises(InputError, match="log-ratios must be finite, got inf at entry 1"):
+            inverse_log_ratio([0.0, math.inf, 0.0])
+
     def test_dimension_from_pairs(self):
         assert dimension_from_pairs(1) == 2
         assert dimension_from_pairs(6) == 4
@@ -261,6 +271,11 @@ class TestArrayToComposition:
         e = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(InconsistentArray):
             array_to_composition(e)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_array_rejected(self, bad):
+        with pytest.raises(InputError, match="average array must be finite, got .* at row 1"):
+            array_to_composition(np.full((2, 2), bad))
 
     def test_consistency_violation_helper(self):
         w = close([1, 2, 3])

@@ -485,7 +485,8 @@ class TestCredalValidation:
         with pytest.raises(InsufficientSamples):
             credal_ranking(PriorityMatrix(np.array([[0.6, 0.3, 0.1]])), seed=1)
 
-    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -3), (0, 3), (3, 0), (1, 1)])
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -3), (0, 3), (3, 0), (1, 1), (1.0, 2),
+                                      (True, 2)])
     @pytest.mark.parametrize(
         "pair_call",
         [signed_rank_summary, sign_test, lambda W, i, j: bayesian_signed_rank(W, i, j, seed=1)],

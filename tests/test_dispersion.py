@@ -163,6 +163,15 @@ class TestRobust:
         with pytest.raises(InputError, match="DM weights must be finite, non-negative"):
             deviation_array_robust(W, lam, xi)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_average_array_rejected(self, example_matrix, bad):
+        # a NaN centre once gave NaN spreads
+        lam = np.full(5, 0.2)
+        xi = build_average_array(example_matrix, "weighted", dm_weights=lam)
+        xi[0, 2] = bad
+        with pytest.raises(InputError, match="average array must be finite"):
+            deviation_array_robust(example_matrix, lam, xi)
+
     @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (16,)])
     def test_average_array_shape_checked(self, example_matrix, shape):
         lam = np.full(5, 0.2)
