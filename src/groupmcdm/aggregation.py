@@ -26,13 +26,15 @@ from .composition import (
     CONSISTENCY_TOL,
     Composition,
     PriorityMatrix,
+    _floats,
     clr,
     expand_log_ratios,
     inverse_log_ratio,
     pair_differences,
     pair_statistic,
 )
-from .errors import InputError, NumericError, WeightDimensionMismatch, _check_integer
+from .errors import (InputError, NumericError, WeightDimensionMismatch, _check_choice,
+                     _check_integer, _check_positive)
 
 AMM = "amm"
 GMM = "gmm"
@@ -65,10 +67,9 @@ class AwgmmOptions:
 
     def __post_init__(self):
         _check_integer(self.max_iter, "max_iter", 1)
-        if not 0 < self.tol < np.inf:
-            raise InputError("tol must be positive and finite")
-        if self.sigma_denominator is not None and not 0 < self.sigma_denominator < np.inf:
-            raise InputError("sigma_denominator must be positive and finite")
+        _check_positive(self.tol, "tol")
+        if self.sigma_denominator is not None:
+            _check_positive(self.sigma_denominator, "sigma_denominator")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +99,7 @@ def aggregate_amm(W: PriorityMatrix) -> AggregationResult:
 
 def _dm_weights(W: PriorityMatrix, dm_weights) -> np.ndarray:
     """``dm_weights`` as floats: one per DM of ``W``, finite, non-negative, unit-sum."""
-    lam = np.asarray(dm_weights, dtype=float)
+    lam = _floats(dm_weights, "DM weights", ndim=1)
     if lam.shape != (W.n_dms,):
         raise WeightDimensionMismatch(f"{lam.size} weights for {W.n_dms} decision-makers")
     # a NaN or an infinity fails one of the two tests
@@ -132,17 +133,16 @@ def build_average_array(
     dm_weights : array-like, required for "weighted"
         Non-negative unit-sum weights, one per DM.
     """
+    _check_choice(estimator, (MEAN, MEDIAN, WEIGHTED), "estimator")
     if estimator == MEDIAN:
         return expand_log_ratios(
             pair_statistic(np.log(W.values), lambda d, _: np.median(d, axis=0)))
     if estimator == MEAN:
         g = clr(W.values).mean(axis=0)
-    elif estimator == WEIGHTED:
+    else:
         if dm_weights is None:
             raise WeightDimensionMismatch("weighted estimator needs dm_weights")
         g = _dm_weights(W, dm_weights) @ clr(W.values)
-    else:
-        raise InputError(f"unknown estimator {estimator!r}")
     return g[:, None] - g
 
 
@@ -177,17 +177,19 @@ def aggregate_awgmm(
     ``opts.force_identity_estimator`` weights every DM equally: the Welsch
     kernel at an infinite scale, so step 1 gives alpha_k = 1.
     """
-    if opts is None:
-        opts = AwgmmOptions()
+    opts = AwgmmOptions() if opts is None else opts
+    if not isinstance(opts, AwgmmOptions):
+        raise InputError(f"opts must be AwgmmOptions or None, got {opts!r}")
     K, n = W.n_dms, W.n_criteria
-    denom = opts.sigma_denominator if opts.sigma_denominator is not None else n * n
+    # in Python floats a tiny denominator overflows sigma^2 to inf with no warning
+    denom = float(opts.sigma_denominator if opts.sigma_denominator is not None else n * n)
 
     # on clr, n * ||x - g||^2 is the squared pairwise log-ratio distance
     what = clr(W.values)
     wg = what.mean(axis=0)
     # one residual array per iterate: it gives both the scale and the distances
     sq = (what - wg) ** 2
-    sigma2 = float(n * sq.sum() / denom)
+    sigma2 = n * float(sq.sum()) / denom
     trace = [sigma2]
     lam = np.full(K, 1.0 / K)
     converged = False
@@ -208,7 +210,7 @@ def aggregate_awgmm(
         lam = alpha / alpha.sum()
         wg_new = lam @ what
         sq = (what - wg_new) ** 2
-        sigma2 = float(n * sq.sum() / denom)
+        sigma2 = n * float(sq.sum()) / denom
         trace.append(sigma2)
         # the largest change of any pairwise log-ratio
         delta = float(np.ptp(wg_new - wg))
@@ -234,6 +236,8 @@ def check_pareto(W: PriorityMatrix, result: AggregationResult):
     for every k), reports whether the aggregated weights preserve the strict
     preference. Returns a list of ((i, j), preserved) entries.
     """
+    if not (isinstance(result, AggregationResult) and result.weights.n == W.n_criteria):
+        raise InputError(f"result must be an AggregationResult over {W.n_criteria} criteria")
     values = W.values
     agg = result.weights.parts
     report = []

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .composition import PriorityMatrix, close, closed_exp, clr
-from .errors import (DimensionMismatch, InputError, TooManyClusters, _check_integer,
-                     _check_seed, _is_integer)
+from .errors import (DimensionMismatch, InputError, TooManyClusters, _check_choice,
+                     _check_integer, _check_seed, _is_integer)
 
 AITCHISON = "aitchison"
 MADC = "madc"
@@ -111,8 +111,13 @@ def _lloyd(reprs, o, rng, distance, seed, max_iter, init_indices=None) -> Cluste
     K = reprs.shape[0]
     if init_indices is None:
         init_indices = _seed_indices(reprs, o, rng, distance)
-    elif len(init_indices) != o or not all(_is_integer(k) and 0 <= k < K for k in init_indices):
-        raise InputError(f"init_indices must be {o} row indices below {K}")
+    else:
+        try:  # a number or a 0-d array has no length
+            valid = len(init_indices) == o
+        except TypeError:
+            valid = False
+        if not (valid and all(_is_integer(k) and 0 <= k < K for k in init_indices)):
+            raise InputError(f"init_indices must be {o} row indices below {K}")
     centroids = reprs[list(init_indices)]
     # one distance matrix per centroid set: it serves both the objective of
     # the set and the next assignment step
@@ -206,8 +211,7 @@ def kmeans_compositional(
     ``init_indices`` pins the initial centroids to those DM rows and runs a
     single pass (used for cross-checks).
     """
-    if distance not in (AITCHISON, MADC):
-        raise InputError(f"unknown compositional distance {distance!r}")
+    _check_choice(distance, (AITCHISON, MADC), "compositional distance")
     return _kmeans(W, o, distance, seed, max_iter, restarts, init_indices)
 
 

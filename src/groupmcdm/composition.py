@@ -28,6 +28,9 @@ from .errors import (
     InconsistentLogRatios,
     InputError,
     NonPositiveEntry,
+    _check_integer,
+    _check_positive,
+    _is_integer,
     position,
 )
 
@@ -48,7 +51,8 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def dimension_from_pairs(m: int) -> int:
     """Invert m = n(n-1)/2; raises DimensionMismatch if m is not of that form."""
-    n = int((1 + np.sqrt(1 + 8 * m)) / 2 + 0.5)
+    _check_integer(m, "length")
+    n = int((1 + np.sqrt(max(1 + 8 * m, 0))) / 2 + 0.5)
     if n < 2 or n * (n - 1) // 2 != m:
         raise DimensionMismatch(
             f"length {m} is not n(n-1)/2 for any integer n >= 2"
@@ -56,14 +60,30 @@ def dimension_from_pairs(m: int) -> int:
     return n
 
 
+def _floats(x, what: str, ndim: int | None = None, finite: bool = False) -> np.ndarray:
+    """The one coercion of array input: ``x`` as real floats with ``ndim`` axes (1 or 2), if
+    given, and with ``finite`` no NaN or infinity; InputError or DimensionMismatch if not."""
+    try:
+        if np.iscomplexobj(x):  # numpy would cast it to its real part with only a warning
+            raise TypeError("got complex values")
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be real numbers: {exc}") from exc
+    if ndim is not None and x.ndim != ndim:
+        shape = "1-D vector" if ndim == 1 else "2-D matrix"
+        raise DimensionMismatch(f"expected a {shape}, got shape {x.shape}")
+    if finite and not np.isfinite(x).all():
+        flat = int(np.argmin(np.isfinite(x)))
+        where = position(divmod(flat, x.shape[1]) if x.ndim == 2 else flat)
+        raise InputError(f"{what} must be finite, got {x.flat[flat]} at {where}")
+    return x
+
+
 def _validated_parts(raw, ndim: int = 1) -> np.ndarray:
     """``raw`` as C-ordered floats of shape (..., n) with ``ndim`` axes (1 or 2),
     n >= 2 and every part positive and finite."""
     # C order: each row then sums exactly as the same row on its own
-    parts = np.asarray(raw, dtype=float, order="C")
-    if parts.ndim != ndim:
-        shape = "1-D vector" if ndim == 1 else "2-D matrix"
-        raise DimensionMismatch(f"expected a {shape}, got shape {parts.shape}")
+    parts = np.ascontiguousarray(_floats(raw, "weights", ndim))
     if parts.shape[-1] < 2:
         raise DimensionTooSmall(parts.shape[-1])
     bad = ~(parts > 0) | ~np.isfinite(parts)
@@ -96,7 +116,10 @@ def _labels(labels, n: int, what: str) -> tuple[str, ...] | None:
     """``labels`` as a tuple of n strings naming the ``what``; None stays None."""
     if labels is None:
         return None
-    labels = tuple(str(x) for x in labels)
+    try:
+        labels = tuple(str(x) for x in labels)
+    except TypeError:
+        raise InputError(f"labels must be an iterable of names, got {labels!r}") from None
     if len(labels) != n:
         raise DimensionMismatch(f"{len(labels)} labels for {n} {what}")
     return labels
@@ -162,10 +185,9 @@ class PriorityMatrix:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 2 and values.shape[0] < 1:
+        values = _closed(_validated_parts(self.values, ndim=2))
+        if values.shape[0] < 1:
             raise DimensionMismatch("need at least one decision-maker row")
-        values = _closed(_validated_parts(values, ndim=2))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", _labels(self.labels, values.shape[1], "criteria"))
@@ -189,6 +211,8 @@ class PriorityMatrix:
         return self.values.shape[1]
 
     def row(self, k: int) -> Composition:
+        if not (_is_integer(k) and 0 <= k < self.n_dms):
+            raise InputError(f"need a decision-maker row in [0, {self.n_dms}), got {k!r}")
         return Composition(self.values[k], self.labels)
 
     def log_ratios(self) -> np.ndarray:
@@ -255,7 +279,7 @@ def log_ratio_transform(w) -> np.ndarray:
 
 def expand_log_ratios(v) -> np.ndarray:
     """Expand a pairwise log-ratio vector into the full n x n antisymmetric array."""
-    v = np.asarray(v, dtype=float)
+    v = _floats(v, "log-ratios", ndim=1)
     n = dimension_from_pairs(v.size)
     i, j = pair_indices(n)
     full = np.zeros((n, n))
@@ -264,20 +288,9 @@ def expand_log_ratios(v) -> np.ndarray:
     return full
 
 
-def _finite_array(x, what: str) -> np.ndarray:
-    """``x`` as floats, or InputError naming the first NaN or infinity in it."""
-    x = np.asarray(x, dtype=float)
-    bad = ~np.isfinite(x)
-    if bad.any():
-        k = tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
-        raise InputError(f"{what} must be finite, got {x[k]} at "
-                         f"{position(k if x.ndim == 2 else k[0])}")
-    return x
-
-
 def consistency_violation(xi: np.ndarray) -> float:
     """Largest additive-transitivity violation max |xi_ij - xi_ih - xi_hj|."""
-    xi = np.asarray(xi, dtype=float)
+    xi = _floats(xi, "average array", ndim=2)
     # one middle index h at a time: (n, n) temporaries instead of (n, n, n)
     return float(np.max([np.max(np.abs(xi[:, h, None] + xi[None, h, :] - xi))
                          for h in range(xi.shape[0])]))
@@ -302,11 +315,12 @@ def inverse_log_ratio(v, labels=None, tol: float = CONSISTENCY_TOL) -> Compositi
     Raises
     ------
     InputError
-        If an entry of ``v`` is NaN or infinite.
+        If ``v`` is not a finite 1-D vector, or ``tol`` not a positive finite real.
     InconsistentLogRatios
         If the consistency violation exceeds ``tol``.
     """
-    v = _finite_array(v, "log-ratios")
+    _check_positive(tol, "tol")
+    v = _floats(v, "log-ratios", ndim=1, finite=True)
     return _consistent_readout(expand_log_ratios(v), labels, tol, InconsistentLogRatios)
 
 
@@ -315,14 +329,14 @@ def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Compos
 
     The array must be finite, antisymmetric and additively consistent within ``tol``;
     the composition is then the closed exponential of any column (the first
-    is used).
+    is used). ``tol`` is a real number, not a bool, positive and finite.
     """
-    e = np.asarray(e, dtype=float)
+    _check_positive(tol, "tol")
+    e = _floats(e, "average array", finite=True)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise DimensionMismatch(f"expected a square array, got shape {e.shape}")
     if e.shape[0] < 2:
         raise DimensionTooSmall(e.shape[0])
-    _finite_array(e, "average array")
     anti = float(np.max(np.abs(e + e.T)))
     if anti > tol:
         raise InconsistentArray(anti, tol, what="antisymmetry")
@@ -340,12 +354,9 @@ class Pcm:
     values: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.values, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = _validated_parts(self.values, ndim=2)
+        if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        if not np.all((m > 0) & np.isfinite(m)):
-            bad = np.argwhere(~((m > 0) & np.isfinite(m)))[0]
-            raise NonPositiveEntry(tuple(int(x) for x in bad), float(m[tuple(bad)]))
         if np.max(np.abs(np.diag(m) - 1.0)) > CLOSURE_TOL:
             raise InputError("PCM diagonal must be all ones")
         recip = float(np.max(np.abs(m * m.T - 1.0)))
@@ -365,8 +376,10 @@ class Pcm:
 def is_fully_consistent(m, tol: float) -> bool:
     """Whether a PCM satisfies multiplicative transitivity m_ij = m_ih * m_hj.
 
-    The check is relative: |m_ij - m_ih * m_hj| <= tol * m_ij for all i, h, j.
+    The check is relative: |m_ij - m_ih * m_hj| <= tol * m_ij for all i, h, j;
+    ``tol`` is a real number, not a bool, positive and finite.
     """
+    _check_positive(tol, "tol")
     values = m.values if isinstance(m, Pcm) else Pcm(m).values
     bound = tol * values
     # one middle index h at a time: (n, n) temporaries instead of (n, n, n)

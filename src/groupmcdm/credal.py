@@ -33,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .composition import PriorityMatrix, block_width, pair_indices, pair_statistic
-from .errors import (AllZeroRatios, InputError, InsufficientSamples, _check_integer,
-                     _check_seed, _is_integer)
+from .errors import (AllZeroRatios, InputError, InsufficientSamples, _check_choice,
+                     _check_integer, _check_positive, _check_seed, _is_integer)
 
 BAYES_WILCOXON = "bayes-wilcoxon"
 SIGN_TEST = "sign"
@@ -209,10 +209,9 @@ def _check_knobs(mc_samples: int = 1000, prior_weight: float = 1.0,
                  prior_a: float = 1.0, prior_b: float = 1.0) -> None:
     """The one range rule of each credal knob, checked whichever test uses it."""
     _check_integer(mc_samples, "mc_samples", 1000)
-    if not 0 < prior_weight < np.inf:
-        raise InputError("prior_weight must be positive and finite")
-    if not (0 < prior_a < np.inf and 0 < prior_b < np.inf):
-        raise InputError("beta prior parameters must be positive and finite")
+    _check_positive(prior_weight, "prior_weight")
+    _check_positive(prior_a, "beta prior parameters")
+    _check_positive(prior_b, "beta prior parameters")
 
 
 def _bayes_posteriors(values: np.ndarray, mc_samples: int, seed,
@@ -331,12 +330,11 @@ def credal_ranking(
     Every knob is validated, used or not, before the Bayesian test's one draw.
     """
     _check_knobs(mc_samples, prior_weight, prior_a, prior_b)
+    _check_choice(test, (BAYES_WILCOXON, SIGN_TEST), "test")
     if test == BAYES_WILCOXON:
         p = _bayes_posteriors(W.values, mc_samples, seed, prior_weight)
-    elif test == SIGN_TEST:
-        p = _sign_posteriors(W.values, prior_a, prior_b)
     else:
-        raise InputError(f"unknown test {test!r}")
+        p = _sign_posteriors(W.values, prior_a, prior_b)
     i, j = pair_indices(W.n_criteria)
     return CredalRanking(
         orderings=tuple(CredalOrdering(i=a, j=b, p_greater=q, test=test)

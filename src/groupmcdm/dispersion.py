@@ -21,9 +21,9 @@ from .aggregation import (
     aggregate_awgmm,
     build_average_array,
 )
-from .composition import (PriorityMatrix, _finite_array, expand_log_ratios, pair_indices,
+from .composition import (PriorityMatrix, _floats, expand_log_ratios, pair_indices,
                           pair_statistic)
-from .errors import InputError, InsufficientSamples, WeightDimensionMismatch
+from .errors import InsufficientSamples, WeightDimensionMismatch, _check_choice
 
 STD = "std"
 MAD = "mad"
@@ -84,13 +84,12 @@ def deviation_array_robust(W: PriorityMatrix, dm_weights, xi) -> DeviationArray:
     weighted average array, read above the diagonal; both must be finite.
     """
     lam = _dm_weights(W, dm_weights)[:, None]
-    xi = np.asarray(xi, dtype=float)
+    xi = _floats(xi, "average array", finite=True)
     n = W.n_criteria
     if xi.shape != (n, n):
         raise WeightDimensionMismatch(
             f"average array shape {xi.shape} does not match {(n, n)}"
         )
-    _finite_array(xi, "average array")
     centre = xi[pair_indices(n)]
     # a sum, not lam @: a BLAS product's order of terms varies with the width
     return _deviation_array(
@@ -109,16 +108,15 @@ def average_deviation_array(
     array from the robust aggregation with the weighted spread around it; it
     raises NumericError when that aggregation stops at ``max_iter`` unconverged.
     """
+    _check_choice(estimator, (AD_MEAN, AD_MEDIAN, AD_AWGMM), "estimator")
     if estimator == AD_MEAN:
         xi = build_average_array(W, MEAN)
         tau = deviation_array_std(W).tau
     elif estimator == AD_MEDIAN:
         xi = build_average_array(W, MEDIAN)
         tau = deviation_array_mad(W).tau
-    elif estimator == AD_AWGMM:
+    else:
         lam = _converged(aggregate_awgmm(W, awgmm_options)).dm_weights
         xi = build_average_array(W, WEIGHTED, dm_weights=lam)
         tau = deviation_array_robust(W, lam, xi).tau
-    else:
-        raise InputError(f"unknown estimator {estimator!r}")
     return AverageDeviationArray(xi=xi, tau=tau, estimator=estimator, labels=W.labels)

@@ -39,6 +39,19 @@ def _check_integer(value, name: str, floor: int | None = None) -> None:
         raise InputError(f"{name} must be at least {floor}")
 
 
+def _check_choice(value, choices, what: str) -> None:
+    """The one rule of a named choice: a string among ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise InputError(f"unknown {what} {value!r}")
+
+
+def _check_positive(value, name: str) -> None:
+    """The one rule of a float knob: a real number, not a bool, positive and finite."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0 < value < float("inf")):  # typed before the range check compares it
+        raise InputError(f"{name} must be positive and finite")
+
+
 def position(index) -> str:
     """``entry k`` at vector index k; ``row r, column c``, 1-based, at matrix index (r, c)."""
     if isinstance(index, tuple):

@@ -306,6 +306,15 @@ class TestAwgmm:
         with pytest.raises(InputError, match=f"{knob} must be positive and finite"):
             AwgmmOptions(**{knob: math.inf})
 
+    def test_subnormal_sigma_denominator_is_the_identity_estimator(self, example_matrix):
+        # sigma^2 = n S / 5e-324 overflows to inf, the Welsch kernel's scale
+        # under the identity estimator; it once warned of the overflow
+        tiny = aggregate_awgmm(example_matrix, AwgmmOptions(sigma_denominator=5e-324))
+        identity = aggregate_awgmm(example_matrix, AwgmmOptions(force_identity_estimator=True))
+        assert tiny.sigma_trace[0] == math.inf
+        np.testing.assert_array_equal(tiny.dm_weights, identity.dm_weights)
+        np.testing.assert_array_equal(tiny.weights.parts, identity.weights.parts)
+
     def test_sigma_denominator_option_changes_weighting(self, example_matrix):
         default = aggregate_awgmm(example_matrix)
         wide = aggregate_awgmm(example_matrix, AwgmmOptions(sigma_denominator=80.0))
