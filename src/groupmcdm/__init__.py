@@ -25,12 +25,10 @@ from .clustering import (
 )
 from .composition import (
     Composition,
-    Pcm,
     PriorityMatrix,
     array_to_composition,
     close,
     inverse_log_ratio,
-    is_fully_consistent,
     log_ratio_transform,
 )
 from .credal import (
@@ -64,7 +62,6 @@ __all__ = [
     "CredalRanking",
     "DeviationArray",
     "EmptyClusterWarning",
-    "Pcm",
     "PriorityMatrix",
     "SignedRankSummary",
     "aggregate_amm",
@@ -83,7 +80,6 @@ __all__ = [
     "deviation_array_std",
     "errors",
     "inverse_log_ratio",
-    "is_fully_consistent",
     "kmeans_compositional",
     "kmeans_standard_baseline",
     "log_ratio_transform",

@@ -5,8 +5,10 @@ computed on log-ratios: means and distances on the n centred log-ratio (clr)
 coordinates, per-pair statistics (median, MAD, spreads) on the n(n-1)/2
 pairwise log-ratios ln(w_i / w_j). This module provides the closed (unit-sum)
 composition type, the K-row priority matrix, both transforms, the pairwise
-inverse, the average-array readout, and the multiplicative-transitivity check
-for pairwise comparison matrices.
+inverse and the average-array readout. A pairwise comparison matrix (PCM) m
+is checked in the same log space: ``array_to_composition(np.log(m))`` reads
+off its priority vector, or raises when m is not reciprocal or not
+multiplicatively transitive.
 Per-pair statistics run through ``pair_statistic``, in blocks of at most
 ``PAIR_BLOCK`` elements; ``PriorityMatrix.log_ratios`` is the one-block case.
 
@@ -17,6 +19,7 @@ different operations are directly comparable.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +67,12 @@ def _floats(x, what: str, ndim: int | None = None, finite: bool = False) -> np.n
     """The one coercion of array input: ``x`` as real floats with ``ndim`` axes (1 or 2), if
     given, and with ``finite`` no NaN or infinity; InputError or DimensionMismatch if not."""
     try:
-        if np.iscomplexobj(x):  # numpy would cast it to its real part with only a warning
+        x = np.asarray(x)
+        # numpy would cast complex input, also complex scalars of an object
+        # array, to its real part with only a warning
+        if np.iscomplexobj(x) or x.dtype == object and any(
+                isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real)
+                for v in x.flat):
             raise TypeError("got complex values")
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -191,16 +199,6 @@ class PriorityMatrix:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", _labels(self.labels, values.shape[1], "criteria"))
-
-    @classmethod
-    def from_rows(cls, rows) -> "PriorityMatrix":
-        """Build from an iterable of Compositions sharing one label set."""
-        rows = list(rows)
-        labels = rows[0].labels if rows else None
-        for r in rows:
-            if r.labels != labels:
-                raise DimensionMismatch("rows carry different label sets")
-        return cls(np.array([r.parts for r in rows]), labels)
 
     @property
     def n_dms(self) -> int:
@@ -330,6 +328,11 @@ def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Compos
     The array must be finite, antisymmetric and additively consistent within ``tol``;
     the composition is then the closed exponential of any column (the first
     is used). ``tol`` is a real number, not a bool, positive and finite.
+
+    On ``np.log(m)`` of a pairwise comparison matrix m this is the PCM check:
+    it returns m's priority vector, or raises when m is not reciprocal or not
+    transitive. ``tol`` is then absolute in log space, so it bounds
+    |ln(m_ih * m_hj / m_ij)|, to first order the relative error of m_ih * m_hj.
     """
     _check_positive(tol, "tol")
     e = _floats(e, "average array", finite=True)
@@ -341,47 +344,3 @@ def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Compos
     if anti > tol:
         raise InconsistentArray(anti, tol, what="antisymmetry")
     return _consistent_readout(e, labels, tol, InconsistentArray)
-
-
-@dataclass(frozen=True, eq=False)
-class Pcm:
-    """Pairwise comparison matrix: positive, unit diagonal, reciprocal.
-
-    Reciprocity m_ij * m_ji = 1 and a unit diagonal are enforced on
-    construction (tolerance 1e-12 on both, relative for reciprocity).
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        m = _validated_parts(self.values, ndim=2)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-        if np.max(np.abs(np.diag(m) - 1.0)) > CLOSURE_TOL:
-            raise InputError("PCM diagonal must be all ones")
-        recip = float(np.max(np.abs(m * m.T - 1.0)))
-        if recip > CLOSURE_TOL:
-            raise InputError(
-                f"PCM is not reciprocal: max |m_ij * m_ji - 1| = {recip:.3e}"
-            )
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "values", m)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-def is_fully_consistent(m, tol: float) -> bool:
-    """Whether a PCM satisfies multiplicative transitivity m_ij = m_ih * m_hj.
-
-    The check is relative: |m_ij - m_ih * m_hj| <= tol * m_ij for all i, h, j;
-    ``tol`` is a real number, not a bool, positive and finite.
-    """
-    _check_positive(tol, "tol")
-    values = m.values if isinstance(m, Pcm) else Pcm(m).values
-    bound = tol * values
-    # one middle index h at a time: (n, n) temporaries instead of (n, n, n)
-    return all(np.all(np.abs(values[:, h, None] * values[h] - values) <= bound)
-               for h in range(values.shape[0]))

@@ -33,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .composition import PriorityMatrix, block_width, pair_indices, pair_statistic
-from .errors import (AllZeroRatios, InputError, InsufficientSamples, _check_choice,
-                     _check_integer, _check_positive, _check_seed, _is_integer)
+from .errors import (AllZeroRatios, InputError, InsufficientSamples, NumericError,
+                     _check_choice, _check_integer, _check_positive, _check_seed, _is_integer)
 
 BAYES_WILCOXON = "bayes-wilcoxon"
 SIGN_TEST = "sign"
@@ -243,8 +243,12 @@ def _sign_posteriors(values: np.ndarray, prior_a: float, prior_b: float) -> np.n
 
     _check_knobs(prior_a=prior_a, prior_b=prior_b)
     # P(Beta(a + s, b + f) > 1/2) = I_{1/2}(b + f, a + s)
-    return pair_statistic(values, lambda d, _: betainc(
+    p = pair_statistic(values, lambda d, _: betainc(
         prior_b + (d < 0).sum(axis=0), prior_a + (d > 0).sum(axis=0), 0.5))
+    if not np.isfinite(p).all():  # scipy's betainc is NaN with both priors near 1e16
+        raise NumericError("sign test posterior is not finite at beta priors"
+                           f" prior_a={prior_a!r}, prior_b={prior_b!r}")
+    return p
 
 
 def _one_pair(W: PriorityMatrix, i: int, j: int, test: str, posteriors, *args) -> CredalOrdering:

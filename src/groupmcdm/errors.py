@@ -22,12 +22,12 @@ class NumericError(GroupMcdmError, ArithmeticError):
 
 def _check_seed(seed) -> None:
     """The one seed rule of the library: None or a non-negative integer."""
-    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if seed is not None and not (_is_integer(seed) and seed >= 0):
         raise InputError(f"seed must be None or a non-negative integer, got {seed!r}")
 
 
 def _is_integer(value) -> bool:
-    """The one integer rule of counts and indices: a ``numbers.Integral``, not a bool."""
+    """The one integer rule of counts, indices and seeds: a ``numbers.Integral``, not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
@@ -118,7 +118,7 @@ class InconsistentLogRatios(NumericError):
         self.tol = tol
         super().__init__(
             f"log-ratio vector violates additive consistency by {max_violation:.3e}"
-            f" (tolerance {tol:.1e})"
+            f" (tolerance {float(tol):.1e})"
         )
 
 
@@ -129,5 +129,5 @@ class InconsistentArray(NumericError):
         self.max_violation = max_violation
         self.tol = tol
         super().__init__(
-            f"array violates {what} by {max_violation:.3e} (tolerance {tol:.1e})"
+            f"array violates {what} by {max_violation:.3e} (tolerance {float(tol):.1e})"
         )

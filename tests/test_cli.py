@@ -642,6 +642,15 @@ def test_non_finite_result_exits_3_with_nothing_on_stdout(monkeypatch, example_c
         assert (code, out, err) == (3, "", "error: non-finite value in the report\n"), argv
 
 
+def test_sign_test_priors_beyond_betainc_exit_3_naming_them(example_csv):
+    # scipy's betainc is NaN with both beta parameters near 1e16
+    argv = ["rank", "--test", "sign", "--prior-a", "1e16", "--prior-b", "1e16"]
+    code, out, err = run_in_process([*argv, "--input", example_csv])
+    assert (code, out) == (3, "")
+    assert err == ("error: sign test posterior is not finite at beta priors"
+                   " prior_a=1e+16, prior_b=1e+16\n")
+
+
 ONE_DM = "a,b,c\n0.5,0.3,0.2\n"
 
 

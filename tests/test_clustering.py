@@ -223,7 +223,7 @@ class TestKmeansCompositional:
         with pytest.raises(InputError):
             kmeans_compositional(W, 2, distance="euclidean", seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_is_none_or_a_non_negative_integer(self, seed):
         W = random_matrix(np.random.default_rng(52), 4, 3)
         for fit in (kmeans_compositional, kmeans_standard_baseline):

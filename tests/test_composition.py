@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from groupmcdm import (
     Composition,
-    Pcm,
     PriorityMatrix,
     aggregate_awgmm,
     array_to_composition,
@@ -19,7 +19,6 @@ from groupmcdm import (
     deviation_array_robust,
     deviation_array_std,
     inverse_log_ratio,
-    is_fully_consistent,
     log_ratio_transform,
 )
 from groupmcdm.composition import (
@@ -181,6 +180,11 @@ class TestInverseLogRatio:
             inverse_log_ratio(v)
         assert exc.value.max_violation == pytest.approx(1.0)
 
+    def test_fraction_tolerance_in_the_message(self):
+        # a Fraction has no float format before Python 3.12
+        with pytest.raises(InconsistentLogRatios, match=r"\(tolerance 1\.0e-01\)$"):
+            inverse_log_ratio([1.0, 0.0, 0.0], tol=Fraction(1, 10))
+
     def test_bad_length_raises(self):
         with pytest.raises(DimensionMismatch):
             inverse_log_ratio(np.zeros(4))  # 4 is not n(n-1)/2
@@ -294,6 +298,23 @@ class TestArrayToComposition:
                 expected = float(np.max(np.abs(through - xi[:, None, :])))
                 assert consistency_violation(xi) == expected
 
+    def test_consistency_violation_memory_stays_quadratic(self):
+        w = np.random.default_rng(64).uniform(0.1, 10.0, 200)
+        xi = expand_log_ratios(log_ratio_transform(w))
+        tracemalloc.start()
+        try:
+            assert consistency_violation(xi) < 1e-10
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n, n, n) sum alone would take 64 MB here
+        assert peak < 5e6
+
+    def test_fraction_tolerance_in_the_message(self):
+        # a Fraction has no float format before Python 3.12
+        with pytest.raises(InconsistentArray, match=r"antisymmetry .* \(tolerance 1\.0e-01\)$"):
+            array_to_composition([[0.0, 1.0], [1.0, 0.0]], tol=Fraction(1, 10))
+
 
 class TestPermutationEquivariance:
     @given(st.integers(min_value=0, max_value=10_000))
@@ -309,45 +330,40 @@ class TestPermutationEquivariance:
         np.testing.assert_allclose(back.parts[np.argsort(perm)], w.parts, atol=1e-12)
 
 
-class TestPcm:
+class TestPcmInLogSpace:
+    """A pairwise comparison matrix (PCM) is checked as its log: reciprocity is
+    antisymmetry and multiplicative transitivity is additive consistency."""
+
     CONSISTENT = np.array([[1, 2, 8], [0.5, 1, 4], [0.125, 0.25, 1]])
 
-    def test_consistent_example(self):
-        assert is_fully_consistent(Pcm(self.CONSISTENT), tol=1e-12)
-
-    def test_all_ones(self):
-        assert is_fully_consistent(Pcm(np.ones((4, 4))), tol=1e-12)
+    def test_consistent_pcm_gives_its_priority_vector(self):
+        c = array_to_composition(np.log(self.CONSISTENT))
+        np.testing.assert_allclose(c.parts, np.array([8, 4, 1]) / 13, rtol=0, atol=1e-15)
 
     def test_broken_transitivity(self):
         m = self.CONSISTENT.copy()
         m[0, 2] = 7.0
         m[2, 0] = 1.0 / 7.0
-        assert not is_fully_consistent(Pcm(m), tol=1e-12)
+        with pytest.raises(InconsistentArray, match="additive consistency") as exc:
+            array_to_composition(np.log(m))
+        assert exc.value.max_violation == pytest.approx(np.log(8 / 7))
 
-    def test_reciprocity_enforced(self):
+    def test_non_reciprocal_rejected(self):
         m = self.CONSISTENT.copy()
         m[0, 1] = 3.0  # m[1, 0] still 0.5
-        with pytest.raises(InputError):
-            Pcm(m)
+        with pytest.raises(InconsistentArray, match="antisymmetry"):
+            array_to_composition(np.log(m))
 
-    def test_unit_diagonal_enforced(self):
+    def test_all_ones_gives_the_uniform_vector(self):
+        c = array_to_composition(np.log(np.ones((4, 4))))
+        np.testing.assert_array_equal(c.parts, np.full(4, 0.25))
+
+    def test_non_unit_diagonal_rejected(self):
         m = self.CONSISTENT.copy()
         m[1, 1] = 2.0
-        with pytest.raises(InputError):
-            Pcm(m)
-
-    def test_positive_entries_enforced(self):
-        m = self.CONSISTENT.copy()
-        m[0, 2] = -8.0
-        with pytest.raises(NonPositiveEntry):
-            Pcm(m)
-
-    def test_bad_entry_named_by_row_and_column(self):
-        m = self.CONSISTENT.copy()
-        m[0, 2] = -8.0
-        with pytest.raises(NonPositiveEntry, match=r"-8\.0 at row 1, column 3$") as exc:
-            Pcm(m)
-        assert exc.value.index == (0, 2)
+        with pytest.raises(InconsistentArray, match="antisymmetry") as exc:
+            array_to_composition(np.log(m))
+        assert exc.value.max_violation == pytest.approx(2 * np.log(2.0))
 
 
 @pytest.mark.parametrize(
@@ -357,47 +373,12 @@ class TestPcm:
         (lambda: PriorityMatrix(EXAMPLE_W, labels=("a", "b", "c")), DimensionMismatch),
         (lambda: array_to_composition(np.zeros((2, 3))), DimensionMismatch),
         (lambda: array_to_composition(np.zeros((1, 1))), DimensionTooSmall),
-        (lambda: Pcm(np.ones((2, 3))), DimensionMismatch),
     ],
-    ids=["close-2d", "matrix-labels", "array-not-square", "array-1x1", "pcm-not-square"],
+    ids=["close-2d", "matrix-labels", "array-not-square", "array-1x1"],
 )
 def test_shape_errors(build, error):
     with pytest.raises(error):
         build()
-
-
-def broadcast_is_fully_consistent(m, tol):
-    """Reference: the (n, n, n) broadcast form of the transitivity check."""
-    through = m[:, :, None] * m[None, :, :]
-    return bool(np.all(np.abs(through - m[:, None, :]) <= tol * m[:, None, :]))
-
-
-class TestPcmConsistencyCheck:
-    def test_loop_equals_broadcast_form(self):
-        rng = np.random.default_rng(63)
-        for _ in range(200):
-            n = int(rng.integers(2, 12))
-            w = rng.uniform(0.1, 10.0, n)
-            m = w[:, None] / w[None, :]
-            if n > 2 and rng.random() < 0.7:
-                # perturb one pair by a relative step around the tolerances
-                i, j = rng.choice(n, size=2, replace=False)
-                m[i, j] *= 1.0 + 10.0 ** rng.uniform(-13, -5)
-                m[j, i] = 1.0 / m[i, j]
-            for tol in (1e-12, 1e-10, 1e-6):
-                assert is_fully_consistent(m, tol) == broadcast_is_fully_consistent(m, tol)
-
-    def test_memory_stays_quadratic(self):
-        w = np.random.default_rng(64).uniform(0.1, 10.0, 200)
-        pcm = Pcm(w[:, None] / w[None, :])
-        tracemalloc.start()
-        try:
-            assert is_fully_consistent(pcm, 1e-10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the (n, n, n) product alone would take 64 MB here
-        assert peak < 5e6
 
 
 class TestPriorityMatrix:
@@ -410,12 +391,6 @@ class TestPriorityMatrix:
     def test_log_ratios_match_per_row_transform(self, example_matrix):
         rows = [log_ratio_transform(example_matrix.row(k)) for k in range(5)]
         np.testing.assert_allclose(example_matrix.log_ratios(), rows, atol=1e-15)
-
-    def test_from_rows_requires_shared_labels(self):
-        a = Composition(np.array([0.5, 0.5]), labels=("x", "y"))
-        b = Composition(np.array([0.25, 0.75]), labels=("x", "z"))
-        with pytest.raises(DimensionMismatch):
-            PriorityMatrix.from_rows([a, b])
 
     def test_pair_indices_are_lexicographic(self):
         i, j = pair_indices(4)

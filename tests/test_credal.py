@@ -467,6 +467,7 @@ class TestCredalValidation:
             # a seed is None or a non-negative integer
             ({"seed": -1}, InputError),
             ({"seed": 1.5}, InputError),
+            ({"seed": True}, InputError),
         ],
     )
     def test_rejected_before_any_draw(self, monkeypatch, two_criteria_matrix, kwargs, error):
