@@ -42,7 +42,6 @@ from .credal import (
 )
 from .dispersion import (
     AverageDeviationArray,
-    DeviationArray,
     average_deviation_array,
     deviation_array_mad,
     deviation_array_robust,
@@ -60,7 +59,6 @@ __all__ = [
     "Composition",
     "CredalOrdering",
     "CredalRanking",
-    "DeviationArray",
     "EmptyClusterWarning",
     "PriorityMatrix",
     "SignedRankSummary",

@@ -131,18 +131,20 @@ def build_average_array(
     ----------
     estimator : {"mean", "median", "weighted"}
     dm_weights : array-like, required for "weighted"
-        Non-negative unit-sum weights, one per DM.
+        Non-negative unit-sum weights, one per DM; checked whenever given.
     """
     _check_choice(estimator, (MEAN, MEDIAN, WEIGHTED), "estimator")
+    if dm_weights is not None:
+        dm_weights = _dm_weights(W, dm_weights)
     if estimator == MEDIAN:
         return expand_log_ratios(
             pair_statistic(np.log(W.values), lambda d, _: np.median(d, axis=0)))
     if estimator == MEAN:
         g = clr(W.values).mean(axis=0)
+    elif dm_weights is None:
+        raise WeightDimensionMismatch("weighted estimator needs dm_weights")
     else:
-        if dm_weights is None:
-            raise WeightDimensionMismatch("weighted estimator needs dm_weights")
-        g = _dm_weights(W, dm_weights) @ clr(W.values)
+        g = dm_weights @ clr(W.values)
     return g[:, None] - g
 
 

@@ -4,11 +4,11 @@ Priority vectors carry only ratio information, so every statistic here is
 computed on log-ratios: means and distances on the n centred log-ratio (clr)
 coordinates, per-pair statistics (median, MAD, spreads) on the n(n-1)/2
 pairwise log-ratios ln(w_i / w_j). This module provides the closed (unit-sum)
-composition type, the K-row priority matrix, both transforms, the pairwise
-inverse and the average-array readout. A pairwise comparison matrix (PCM) m
-is checked in the same log space: ``array_to_composition(np.log(m))`` reads
-off its priority vector, or raises when m is not reciprocal or not
-multiplicatively transitive.
+composition type, the K-row priority matrix, both transforms and the one
+readout, ``array_to_composition``, which the pairwise inverse also reaches
+through ``expand_log_ratios``. A pairwise comparison matrix (PCM) m is
+checked in the same log space: ``array_to_composition(np.log(m))`` reads off
+its priority vector, or raises when m is not reciprocal or not transitive.
 Per-pair statistics run through ``pair_statistic``, in blocks of at most
 ``PAIR_BLOCK`` elements; ``PriorityMatrix.log_ratios`` is the one-block case.
 
@@ -28,7 +28,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
     InconsistentArray,
-    InconsistentLogRatios,
     InputError,
     NonPositiveEntry,
     _check_integer,
@@ -37,8 +36,6 @@ from .errors import (
     position,
 )
 
-#: Tolerance for algebraic identities (closure, antisymmetry of built arrays).
-CLOSURE_TOL = 1e-12
 #: Tolerance for consistency of iteratively computed arrays.
 CONSISTENCY_TOL = 1e-8
 #: The one block size: elements per temporary of a per-pair statistic.
@@ -104,7 +101,8 @@ def _validated_parts(raw, ndim: int = 1) -> np.ndarray:
 def _closed(parts: np.ndarray) -> np.ndarray:
     """Close validated (..., n) parts to unit sum along the last axis.
 
-    Returns a new array; raises if a part underflows to 0.
+    A row whose sum is within n * eps of 1 is left as it is, so closing is
+    idempotent. Returns a new array; raises if a part underflows to 0.
     """
     with np.errstate(over="ignore"):
         s = parts.sum(axis=-1, keepdims=True)
@@ -112,7 +110,8 @@ def _closed(parts: np.ndarray) -> np.ndarray:
     if over.any():  # a sum overflowed: rescale that row by its largest part
         parts = np.where(over, parts / parts.max(axis=-1, keepdims=True), parts)
         s = parts.sum(axis=-1, keepdims=True)
-    closed = np.where(np.abs(s - 1.0) > CLOSURE_TOL, parts / s, parts)
+    near = parts.shape[-1] * np.finfo(float).eps
+    closed = np.where(np.abs(s - 1.0) > near, parts / s, parts)
     if not closed.all():
         k = np.unravel_index(np.argmin(closed), closed.shape)
         where = position(k if closed.ndim == 2 else k[0])
@@ -294,32 +293,24 @@ def consistency_violation(xi: np.ndarray) -> float:
                          for h in range(xi.shape[0])]))
 
 
-def _consistent_readout(xi: np.ndarray, labels, tol: float, error) -> Composition:
-    """The closed exp of column 0 of ``xi``; ``error(violation, tol)`` is raised
-    when ``xi`` is not additively consistent within ``tol``."""
-    violation = consistency_violation(xi)
-    if violation > tol:
-        raise error(violation, tol)
-    return Composition(closed_exp(xi[:, 0]), labels)
-
-
 def inverse_log_ratio(v, labels=None, tol: float = CONSISTENCY_TOL) -> Composition:
     """Recover the composition whose pairwise log-ratios are ``v``.
 
     Requires additive consistency (v_ij = v_ih + v_hj within ``tol``); under
     that precondition every reconstructed column closes to the same
-    composition, and ``log_ratio_transform`` inverts this function.
+    composition, and ``log_ratio_transform`` inverts this function. ``v`` is
+    expanded to its n x n array and read out by ``array_to_composition``.
 
     Raises
     ------
     InputError
-        If ``v`` is not a finite 1-D vector, or ``tol`` not a positive finite real.
-    InconsistentLogRatios
+        If ``v`` is not a finite 1-D vector, or ``tol`` not a positive finite real
+        (``v`` is checked first).
+    InconsistentArray
         If the consistency violation exceeds ``tol``.
     """
-    _check_positive(tol, "tol")
     v = _floats(v, "log-ratios", ndim=1, finite=True)
-    return _consistent_readout(expand_log_ratios(v), labels, tol, InconsistentLogRatios)
+    return array_to_composition(expand_log_ratios(v), labels, tol)
 
 
 def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Composition:
@@ -343,4 +334,7 @@ def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Compos
     anti = float(np.max(np.abs(e + e.T)))
     if anti > tol:
         raise InconsistentArray(anti, tol, what="antisymmetry")
-    return _consistent_readout(e, labels, tol, InconsistentArray)
+    violation = consistency_violation(e)
+    if violation > tol:
+        raise InconsistentArray(violation, tol)
+    return Composition(closed_exp(e[:, 0]), labels)

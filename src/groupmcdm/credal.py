@@ -205,10 +205,11 @@ def _walsh_wins(V: np.ndarray, g: np.ndarray) -> np.ndarray:
     return wins
 
 
-def _check_knobs(mc_samples: int = 1000, prior_weight: float = 1.0,
+def _check_knobs(mc_samples: int = 1000, seed=None, prior_weight: float = 1.0,
                  prior_a: float = 1.0, prior_b: float = 1.0) -> None:
     """The one range rule of each credal knob, checked whichever test uses it."""
     _check_integer(mc_samples, "mc_samples", 1000)
+    _check_seed(seed)
     _check_positive(prior_weight, "prior_weight")
     _check_positive(prior_a, "beta prior parameters")
     _check_positive(prior_b, "beta prior parameters")
@@ -220,8 +221,7 @@ def _bayes_posteriors(values: np.ndarray, mc_samples: int, seed,
     K = values.shape[0]
     if K < 2:
         raise InsufficientSamples("the Bayesian signed-rank test needs K >= 2")
-    _check_knobs(mc_samples=mc_samples, prior_weight=prior_weight)
-    _check_seed(seed)
+    _check_knobs(mc_samples=mc_samples, seed=seed, prior_weight=prior_weight)
     alpha = np.concatenate(([prior_weight], np.ones(K)))
     rng = np.random.default_rng(seed)
     rows = max(1, _DRAW_BLOCK // (K + 1))
@@ -333,7 +333,7 @@ def credal_ranking(
 
     Every knob is validated, used or not, before the Bayesian test's one draw.
     """
-    _check_knobs(mc_samples, prior_weight, prior_a, prior_b)
+    _check_knobs(mc_samples, seed, prior_weight, prior_a, prior_b)
     _check_choice(test, (BAYES_WILCOXON, SIGN_TEST), "test")
     if test == BAYES_WILCOXON:
         p = _bayes_posteriors(W.values, mc_samples, seed, prior_weight)

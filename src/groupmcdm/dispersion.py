@@ -1,8 +1,9 @@
 """Spread of a group's priorities, measured pairwise on log-ratios.
 
-A deviation array holds one non-negative spread value per criterion pair;
-the average-deviation (AD) array combines it with the matching average array
-into a single display: averages above the diagonal, deviations below.
+A deviation array is the symmetric n x n array of one non-negative spread per
+criterion pair: the std, the MAD, or the DM-weighted spread about the weighted
+group vector. The average-deviation (AD) array combines it with the matching
+average array into one display: averages above the diagonal, deviations below.
 """
 
 from __future__ import annotations
@@ -21,25 +22,13 @@ from .aggregation import (
     aggregate_awgmm,
     build_average_array,
 )
-from .composition import (PriorityMatrix, _floats, expand_log_ratios, pair_indices,
+from .composition import (PriorityMatrix, clr, expand_log_ratios, pair_differences,
                           pair_statistic)
-from .errors import InsufficientSamples, WeightDimensionMismatch, _check_choice
-
-STD = "std"
-MAD = "mad"
-ROBUST = "robust"
+from .errors import InsufficientSamples, _check_choice
 
 AD_MEAN = "mean"
 AD_MEDIAN = "median"
 AD_AWGMM = "awgmm"
-
-
-@dataclass(frozen=True, eq=False)
-class DeviationArray:
-    """Symmetric n x n array of pairwise log-ratio spreads, zero diagonal."""
-
-    tau: np.ndarray
-    estimator: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,43 +46,36 @@ class AverageDeviationArray:
         return np.triu(self.xi, k=1) + np.tril(self.tau, k=-1)
 
 
-def _deviation_array(W: PriorityMatrix, stat, estimator: str) -> DeviationArray:
+def _deviation_array(W: PriorityMatrix, stat) -> np.ndarray:
     """The per-pair spreads ``stat`` (see ``pair_statistic``), laid out n x n."""
-    tau = pair_statistic(np.log(W.values), stat)
-    return DeviationArray(tau=np.abs(expand_log_ratios(tau)), estimator=estimator)
+    return np.abs(expand_log_ratios(pair_statistic(np.log(W.values), stat)))
 
 
-def deviation_array_std(W: PriorityMatrix) -> DeviationArray:
+def deviation_array_std(W: PriorityMatrix) -> np.ndarray:
     """Sample standard deviation (K-1 denominator) of each pairwise log-ratio."""
     if W.n_dms < 2:
         raise InsufficientSamples("standard deviation needs at least two DMs")
-    return _deviation_array(W, lambda d, _: d.std(axis=0, ddof=1), STD)
+    return _deviation_array(W, lambda d, _: d.std(axis=0, ddof=1))
 
 
-def deviation_array_mad(W: PriorityMatrix) -> DeviationArray:
+def deviation_array_mad(W: PriorityMatrix) -> np.ndarray:
     """Median absolute deviation about the median, no consistency constant."""
     return _deviation_array(
-        W, lambda d, _: np.median(np.abs(d - np.median(d, axis=0)), axis=0), MAD)
+        W, lambda d, _: np.median(np.abs(d - np.median(d, axis=0)), axis=0))
 
 
-def deviation_array_robust(W: PriorityMatrix, dm_weights, xi) -> DeviationArray:
-    """DM-weighted spread around a given average array.
+def deviation_array_robust(W: PriorityMatrix, dm_weights) -> np.ndarray:
+    """DM-weighted spread around the weighted group vector.
 
-    tau_ij = sqrt(sum_k lambda_k (ln(W_ki/W_kj) - xi_ij)^2), with ``dm_weights``
-    the unit-sum weights from the robust aggregation and ``xi`` the matching
-    weighted average array, read above the diagonal; both must be finite.
+    tau_ij = sqrt(sum_k lambda_k (ln(W_ki/W_kj) - g_i + g_j)^2), with
+    ``dm_weights`` the unit-sum weights lambda from the robust aggregation and
+    g = lambda @ clr(W), whose differences g_i - g_j are the weighted average array.
     """
-    lam = _dm_weights(W, dm_weights)[:, None]
-    xi = _floats(xi, "average array", finite=True)
-    n = W.n_criteria
-    if xi.shape != (n, n):
-        raise WeightDimensionMismatch(
-            f"average array shape {xi.shape} does not match {(n, n)}"
-        )
-    centre = xi[pair_indices(n)]
+    lam = _dm_weights(W, dm_weights)
+    centre = pair_differences(lam @ clr(W.values))
     # a sum, not lam @: a BLAS product's order of terms varies with the width
-    return _deviation_array(
-        W, lambda d, pairs: np.sqrt((lam * (d - centre[pairs]) ** 2).sum(axis=0)), ROBUST)
+    return _deviation_array(W, lambda d, pairs: np.sqrt(
+        (lam[:, None] * (d - centre[pairs]) ** 2).sum(axis=0)))
 
 
 def average_deviation_array(
@@ -111,12 +93,12 @@ def average_deviation_array(
     _check_choice(estimator, (AD_MEAN, AD_MEDIAN, AD_AWGMM), "estimator")
     if estimator == AD_MEAN:
         xi = build_average_array(W, MEAN)
-        tau = deviation_array_std(W).tau
+        tau = deviation_array_std(W)
     elif estimator == AD_MEDIAN:
         xi = build_average_array(W, MEDIAN)
-        tau = deviation_array_mad(W).tau
+        tau = deviation_array_mad(W)
     else:
         lam = _converged(aggregate_awgmm(W, awgmm_options)).dm_weights
         xi = build_average_array(W, WEIGHTED, dm_weights=lam)
-        tau = deviation_array_robust(W, lam, xi).tau
+        tau = deviation_array_robust(W, lam)
     return AverageDeviationArray(xi=xi, tau=tau, estimator=estimator, labels=W.labels)

@@ -110,18 +110,6 @@ class RaggedRow(ParseError):
     """A CSV row whose width differs from the header."""
 
 
-class InconsistentLogRatios(NumericError):
-    """A pairwise log-ratio vector is not additively consistent."""
-
-    def __init__(self, max_violation, tol):
-        self.max_violation = max_violation
-        self.tol = tol
-        super().__init__(
-            f"log-ratio vector violates additive consistency by {max_violation:.3e}"
-            f" (tolerance {float(tol):.1e})"
-        )
-
-
 class InconsistentArray(NumericError):
     """An average array is not antisymmetric or not additively consistent."""
 

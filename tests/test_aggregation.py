@@ -118,6 +118,16 @@ class TestAverageArray:
         with pytest.raises(WeightDimensionMismatch):
             build_average_array(example_matrix, "weighted")
 
+    @pytest.mark.parametrize("estimator", ["mean", "median"])
+    def test_dm_weights_checked_whenever_given(self, example_matrix, estimator):
+        # the estimators that do not use the weights still reject bad ones
+        with pytest.raises(InputError, match="DM weights must be real numbers"):
+            build_average_array(example_matrix, estimator, dm_weights="abc")
+        with pytest.raises(WeightDimensionMismatch, match="2 weights for 5 decision-makers"):
+            build_average_array(example_matrix, estimator, dm_weights=[0.5, 0.5])
+        with pytest.raises(InputError, match="DM weights must be finite, non-negative"):
+            build_average_array(example_matrix, estimator, dm_weights=[0.5] * 5)
+
     def test_unknown_estimator(self, example_matrix):
         with pytest.raises(InputError):
             build_average_array(example_matrix, "mode")

@@ -81,8 +81,7 @@ CALLS = {
     "check_pareto": (check_pareto, dict(W=W, result=aggregate_gmm(W))),
     "build_average_array": (
         build_average_array, dict(W=W, estimator="weighted", dm_weights=LAM)),
-    "deviation_array_robust": (deviation_array_robust, dict(
-        W=W, dm_weights=LAM, xi=build_average_array(W, "weighted", LAM))),
+    "deviation_array_robust": (deviation_array_robust, dict(W=W, dm_weights=LAM)),
     "average_deviation_array": (
         average_deviation_array, dict(W=W, estimator="awgmm", awgmm_options=None)),
     "signed_rank_summary": (signed_rank_summary, dict(W=W, i=0, j=1)),
@@ -142,7 +141,6 @@ def ex(name, error=InputError, **overrides):
 @ex("PriorityMatrix", values=[[0.5, 0.5], [0.3]])
 @ex("close", raw=[1, "a"])
 @ex("build_average_array", dm_weights="abc")
-@ex("deviation_array_robust", xi="x")
 @ex("array_to_composition", e="ab")
 @ex("madc_distance", w="ab")
 @ex("AwgmmOptions", tol="1")
@@ -211,7 +209,7 @@ PANEL_ONLY = ("aggregate_amm", "aggregate_gmm", "deviation_array_std", "deviatio
 #: exports that are not calls: result and warning types, the errors module, the version
 NOT_CALLS = (
     "AggregationResult", "AverageDeviationArray", "ClusterModel", "CredalOrdering",
-    "CredalRanking", "DeviationArray", "EmptyClusterWarning", "SignedRankSummary",
+    "CredalRanking", "EmptyClusterWarning", "SignedRankSummary",
     "errors", "__version__",
 )
 #: the one call held to the contract that is not exported

@@ -468,6 +468,9 @@ class TestCredalValidation:
             ({"seed": -1}, InputError),
             ({"seed": 1.5}, InputError),
             ({"seed": True}, InputError),
+            # the sign test draws nothing, yet its seed is checked too
+            ({"test": "sign", "seed": -5}, InputError),
+            ({"test": "sign", "seed": "abc"}, InputError),
         ],
     )
     def test_rejected_before_any_draw(self, monkeypatch, two_criteria_matrix, kwargs, error):

@@ -54,7 +54,7 @@ class TestStd:
         W = random_matrix(rng, 8, 4)
         for width in WIDTHS:
             pair_block(width, W.n_dms)
-            tau = deviation_array_std(W).tau
+            tau = deviation_array_std(W)
             for i in range(4):
                 for j in range(4):
                     if i != j:
@@ -62,21 +62,21 @@ class TestStd:
                         assert tau[i, j] == pytest.approx(expected, abs=1e-14)
 
     def test_worked_example_entries(self, example_matrix):
-        tau = deviation_array_std(example_matrix).tau
+        tau = deviation_array_std(example_matrix)
         assert tau[0, 1] == pytest.approx(0.351, abs=2e-3)
         assert tau[0, 2] == pytest.approx(0.704, abs=2e-3)
 
     def test_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(22)
         W = random_matrix(rng, 6, 5)
-        tau = deviation_array_std(W).tau
+        tau = deviation_array_std(W)
         np.testing.assert_allclose(tau, tau.T, atol=1e-12)
         np.testing.assert_array_equal(np.diag(tau), np.zeros(5))
         assert np.all(tau >= 0)
 
     def test_identical_rows_are_zero(self):
         W = PriorityMatrix(np.tile(EXAMPLE_W[2], (5, 1)))
-        np.testing.assert_allclose(deviation_array_std(W).tau, 0.0, atol=1e-14)
+        np.testing.assert_allclose(deviation_array_std(W), 0.0, atol=1e-14)
 
     def test_needs_two_dms(self):
         with pytest.raises(InsufficientSamples):
@@ -86,8 +86,8 @@ class TestStd:
         rng = np.random.default_rng(23)
         raw = rng.uniform(0.1, 5.0, size=(6, 4))
         scaled = raw * rng.uniform(0.5, 20.0, size=(6, 1))
-        a = deviation_array_std(PriorityMatrix(raw)).tau
-        b = deviation_array_std(PriorityMatrix(scaled)).tau
+        a = deviation_array_std(PriorityMatrix(raw))
+        b = deviation_array_std(PriorityMatrix(scaled))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -97,7 +97,7 @@ class TestMad:
         W = random_matrix(rng, 9, 4)
         for width in WIDTHS:
             pair_block(width, W.n_dms)
-            tau = deviation_array_mad(W).tau
+            tau = deviation_array_mad(W)
             for i in range(4):
                 for j in range(4):
                     if i != j:
@@ -107,20 +107,20 @@ class TestMad:
                         assert tau[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_worked_example_entry(self, example_matrix):
-        tau = deviation_array_mad(example_matrix).tau
+        tau = deviation_array_mad(example_matrix)
         assert tau[0, 1] == pytest.approx(0.162, abs=2e-3)
 
     def test_identical_rows_are_zero(self):
         W = PriorityMatrix(np.tile(EXAMPLE_W[0], (4, 1)))
-        np.testing.assert_allclose(deviation_array_mad(W).tau, 0.0, atol=1e-15)
+        np.testing.assert_allclose(deviation_array_mad(W), 0.0, atol=1e-15)
 
     def test_duplicating_the_whole_panel_preserves_mad(self):
         rng = np.random.default_rng(25)
         for _ in range(30):
             W = random_matrix(rng, int(rng.integers(2, 8)), 4)
-            base = deviation_array_mad(W).tau
+            base = deviation_array_mad(W)
             doubled = PriorityMatrix(np.vstack([W.values, W.values]))
-            np.testing.assert_allclose(deviation_array_mad(doubled).tau, base, atol=1e-14)
+            np.testing.assert_allclose(deviation_array_mad(doubled), base, atol=1e-14)
 
 
 class TestRobust:
@@ -128,62 +128,57 @@ class TestRobust:
         # frozen from the documented pipeline: lambda from the robust
         # aggregation, spread around the weighted average array
         lam = aggregate_awgmm(example_matrix).dm_weights
-        xi = build_average_array(example_matrix, "weighted", dm_weights=lam)
-        tau = deviation_array_robust(example_matrix, lam, xi).tau
+        tau = deviation_array_robust(example_matrix, lam)
         assert tau[0, 1] == pytest.approx(0.10926, abs=1e-4)
 
     def test_concentrated_weights_give_zero(self, example_matrix):
         lam = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        xi = build_average_array(example_matrix, "weighted", dm_weights=lam)
-        tau = deviation_array_robust(example_matrix, lam, xi).tau
+        tau = deviation_array_robust(example_matrix, lam)
         np.testing.assert_allclose(tau, 0.0, atol=1e-14)
 
     def test_uniform_weights_equal_population_std(self):
         rng = np.random.default_rng(26)
         W = random_matrix(rng, 7, 5)
         lam = np.full(7, 1.0 / 7)
-        xi = build_average_array(W, "mean")
-        tau = deviation_array_robust(W, lam, xi).tau
+        tau = deviation_array_robust(W, lam)
         logs = np.log(W.values)
         diffs = logs[:, :, None] - logs[:, None, :]
         np.testing.assert_allclose(tau, diffs.std(axis=0, ddof=0), atol=1e-12)
 
     def test_weight_dimension_checked(self, example_matrix):
-        xi = build_average_array(example_matrix, "mean")
         with pytest.raises(WeightDimensionMismatch):
-            deviation_array_robust(example_matrix, [0.5, 0.5], xi)
+            deviation_array_robust(example_matrix, [0.5, 0.5])
 
     @pytest.mark.parametrize("lam", [[math.nan, 0.5, 0.5], [-1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
                              ids=["nan", "negative", "sum-6"])
     def test_dm_weights_finite_non_negative_unit_sum(self, lam):
         W = PriorityMatrix(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.6, 0.1, 0.3]]))
-        xi = build_average_array(W, "mean")
         with pytest.raises(InputError, match="DM weights must be finite, non-negative"):
             build_average_array(W, "weighted", dm_weights=lam)
         with pytest.raises(InputError, match="DM weights must be finite, non-negative"):
-            deviation_array_robust(W, lam, xi)
+            deviation_array_robust(W, lam)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_average_array_rejected(self, example_matrix, bad):
-        # a NaN centre once gave NaN spreads
-        lam = np.full(5, 0.2)
+    def test_centre_is_the_weighted_average_array(self, example_matrix):
+        # the centre follows the weights: no caller-supplied average array can
+        # put the mean array (tau_01 = 0.189) where the weighted one belongs
+        lam = aggregate_awgmm(example_matrix).dm_weights
         xi = build_average_array(example_matrix, "weighted", dm_weights=lam)
-        xi[0, 2] = bad
-        with pytest.raises(InputError, match="average array must be finite"):
-            deviation_array_robust(example_matrix, lam, xi)
-
-    @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (16,)])
-    def test_average_array_shape_checked(self, example_matrix, shape):
-        lam = np.full(5, 0.2)
-        with pytest.raises(WeightDimensionMismatch, match="average array shape"):
-            deviation_array_robust(example_matrix, lam, np.zeros(shape))
+        logs = np.log(example_matrix.values)
+        diffs = logs[:, :, None] - logs[:, None, :]
+        expected = np.sqrt((lam[:, None, None] * (diffs - xi) ** 2).sum(axis=0))
+        tau = deviation_array_robust(example_matrix, lam)
+        np.testing.assert_allclose(tau, expected, rtol=0, atol=1e-14)
+        about_mean = np.sqrt((lam[:, None, None] * (
+            diffs - build_average_array(example_matrix, "mean")) ** 2).sum(axis=0))
+        assert about_mean[0, 1] == pytest.approx(0.189, abs=1e-3)
+        assert tau[0, 1] == pytest.approx(0.109, abs=1e-3)
 
 
 class TestAverageDeviationArray:
     def test_mean_pairs_mean_with_std(self, example_matrix):
         ad = average_deviation_array(example_matrix, "mean")
         np.testing.assert_array_equal(ad.xi, build_average_array(example_matrix, "mean"))
-        np.testing.assert_array_equal(ad.tau, deviation_array_std(example_matrix).tau)
+        np.testing.assert_array_equal(ad.tau, deviation_array_std(example_matrix))
 
     def test_combined_layout(self, example_matrix):
         for estimator in ("mean", "median", "awgmm"):
@@ -258,8 +253,6 @@ class TestAverageDeviationArray:
 
     def test_estimator_tags(self, example_matrix):
         assert average_deviation_array(example_matrix, "mean").estimator == "mean"
-        assert deviation_array_std(example_matrix).estimator == "std"
-        assert deviation_array_mad(example_matrix).estimator == "mad"
 
 
 class TestCriterionPermutation:
