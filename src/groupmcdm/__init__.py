@@ -17,7 +17,6 @@ from .aggregation import (
 )
 from .clustering import (
     ClusterModel,
-    EmptyClusterWarning,
     aitchison_distance,
     kmeans_compositional,
     kmeans_standard_baseline,
@@ -59,7 +58,6 @@ __all__ = [
     "Composition",
     "CredalOrdering",
     "CredalRanking",
-    "EmptyClusterWarning",
     "PriorityMatrix",
     "SignedRankSummary",
     "aggregate_amm",

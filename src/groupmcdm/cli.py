@@ -17,7 +17,6 @@ import csv
 import json
 import math
 import sys
-import warnings as _warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -284,29 +283,25 @@ def cmd_cluster(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
             "reseeded_clusters": model.n_reseeds,
         }
 
-    # every restart warns on its own re-seeds; the report notes those of the
-    # returned models only, once each, from n_reseeds
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", clustering.EmptyClusterWarning)
-        models = {
-            "compositional": clustering.kmeans_compositional(
-                W,
-                config.clusters,
-                distance=config.distance,
-                seed=config.seed,
-                restarts=config.restarts,
-                max_iter=config.max_iter,
-            )
-        }
-        if config.with_baseline:
-            models["baseline"] = clustering.kmeans_standard_baseline(
-                W,
-                config.clusters,
-                seed=config.seed,
-                restarts=config.restarts,
-                max_iter=config.max_iter,
-            )
-            notes.append(BASELINE_WARNING)
+    models = {
+        "compositional": clustering.kmeans_compositional(
+            W,
+            config.clusters,
+            distance=config.distance,
+            seed=config.seed,
+            restarts=config.restarts,
+            max_iter=config.max_iter,
+        )
+    }
+    if config.with_baseline:
+        models["baseline"] = clustering.kmeans_standard_baseline(
+            W,
+            config.clusters,
+            seed=config.seed,
+            restarts=config.restarts,
+            max_iter=config.max_iter,
+        )
+        notes.append(BASELINE_WARNING)
     results = {"labels": list(W.labels)}
     for key, model in models.items():
         results[key] = model_dict(model)

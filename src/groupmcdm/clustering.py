@@ -17,7 +17,6 @@ the compositional treatment.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,10 +28,6 @@ from .errors import (DimensionMismatch, InputError, TooManyClusters, _check_choi
 AITCHISON = "aitchison"
 MADC = "madc"
 EUCLIDEAN = "euclidean"
-
-
-class EmptyClusterWarning(UserWarning):
-    """A cluster lost all members and was re-seeded."""
 
 
 def _distance(w, v, distance: str) -> float:
@@ -59,7 +54,8 @@ class ClusterModel:
     ``inertia`` is the clustering objective at the returned state: the sum of
     squared member-to-centroid distances for the L2-type distances (aitchison,
     euclidean) and the plain sum for madc. ``inertia_trace`` holds the value
-    after each centroid update of the winning restart.
+    after each centroid update of the winning restart. ``n_reseeds`` counts
+    the clusters that restart re-seeded when an assignment step emptied them.
     """
 
     centroids: np.ndarray
@@ -70,10 +66,6 @@ class ClusterModel:
     seed: int | None
     inertia_trace: tuple[float, ...]
     n_reseeds: int = 0
-
-    @property
-    def n_clusters(self) -> int:
-        return self.centroids.shape[0]
 
     @property
     def centroid_sums(self) -> np.ndarray:
@@ -107,18 +99,8 @@ def _seed_indices(reprs: np.ndarray, o: int, rng, distance: str) -> list[int]:
     return chosen
 
 
-def _lloyd(reprs, o, rng, distance, seed, max_iter, init_indices=None) -> ClusterModel:
-    K = reprs.shape[0]
-    if init_indices is None:
-        init_indices = _seed_indices(reprs, o, rng, distance)
-    else:
-        try:  # a number or a 0-d array has no length
-            valid = len(init_indices) == o
-        except TypeError:
-            valid = False
-        if not (valid and all(_is_integer(k) and 0 <= k < K for k in init_indices)):
-            raise InputError(f"init_indices must be {o} row indices below {K}")
-    centroids = reprs[list(init_indices)]
+def _lloyd(reprs, centroids, distance, seed, max_iter) -> ClusterModel:
+    K, o = reprs.shape[0], centroids.shape[0]
     # one distance matrix per centroid set: it serves both the objective of
     # the set and the next assignment step
     dists = _dist_matrix(reprs, centroids, distance)
@@ -144,10 +126,6 @@ def _lloyd(reprs, o, rng, distance, seed, max_iter, init_indices=None) -> Cluste
                         counts[c] += 1
                         break
             reseeds += len(empty)
-            warnings.warn(
-                f"re-seeded {len(empty)} empty cluster(s)", EmptyClusterWarning,
-                stacklevel=4,
-            )
         if (new_assignments == assignments).all():
             break
         assignments = new_assignments
@@ -180,12 +158,21 @@ def _kmeans(W, o, distance, seed, max_iter, restarts, init_indices) -> ClusterMo
     _check_seed(seed)
     _check_integer(max_iter, "max_iter", 1)
     _check_integer(restarts, "restarts", 1)
+    if init_indices is not None:
+        try:  # a number or a 0-d array has no length
+            valid = len(init_indices) == o
+        except TypeError:
+            valid = False
+        if not (valid and all(_is_integer(k) and 0 <= k < W.n_dms for k in init_indices)):
+            raise InputError(f"init_indices must be {o} row indices below {W.n_dms}")
     reprs = W.values if distance == EUCLIDEAN else clr(W.values)
     best = None
-    n_restarts = 1 if init_indices is not None else restarts
-    for restart in range(n_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
-        fit = _lloyd(reprs, o, rng, distance, seed, max_iter, init_indices)
+    for restart in range(restarts if init_indices is None else 1):
+        start = init_indices
+        if start is None:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
+            start = _seed_indices(reprs, o, rng, distance)
+        fit = _lloyd(reprs, reprs[list(start)], distance, seed, max_iter)
         if best is None or fit.inertia < best.inertia:
             best = fit
     if distance == EUCLIDEAN:

@@ -19,6 +19,7 @@ different operations are directly comparable.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 def dimension_from_pairs(m: int) -> int:
     """Invert m = n(n-1)/2; raises DimensionMismatch if m is not of that form."""
     _check_integer(m, "length")
-    n = int((1 + np.sqrt(max(1 + 8 * m, 0))) / 2 + 0.5)
+    n = (1 + math.isqrt(max(1 + 8 * m, 0))) // 2
     if n < 2 or n * (n - 1) // 2 != m:
         raise DimensionMismatch(
             f"length {m} is not n(n-1)/2 for any integer n >= 2"
@@ -72,7 +73,7 @@ def _floats(x, what: str, ndim: int | None = None, finite: bool = False) -> np.n
                 for v in x.flat):
             raise TypeError("got complex values")
         x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be real numbers: {exc}") from exc
     if ndim is not None and x.ndim != ndim:
         shape = "1-D vector" if ndim == 1 else "2-D matrix"

@@ -6,6 +6,7 @@ and convergence failures discovered during computation (exit code 3).
 """
 
 import numbers
+import sys
 
 
 class GroupMcdmError(Exception):
@@ -48,7 +49,9 @@ def _check_choice(value, choices, what: str) -> None:
 def _check_positive(value, name: str) -> None:
     """The one rule of a float knob: a real number, not a bool, positive and finite."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and 0 < value < float("inf")):  # typed before the range check compares it
+    # typed before the range check compares it; the bound is the largest float,
+    # as an int beyond the float range compares exactly and stays below infinity
+    if not (real and 0 < value <= sys.float_info.max):
         raise InputError(f"{name} must be positive and finite")
 
 

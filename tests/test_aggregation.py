@@ -388,3 +388,17 @@ class TestSimplexEquivariance:
         powered = aggregate_gmm(PriorityMatrix(W.values**a)).weights.parts
         expected = closure(aggregate_gmm(W).weights.parts ** a)
         np.testing.assert_allclose(powered, expected, rtol=0, atol=1e-10)
+
+    @given(panels, st.floats(min_value=0.2, max_value=3.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_awgmm_powering(self, panel, magnitude, negative):
+        seed, K, n = panel
+        a = -magnitude if negative else magnitude
+        W = random_matrix(np.random.default_rng(seed), K, n)
+        base, powered = aggregate_awgmm(W), aggregate_awgmm(PriorityMatrix(W.values**a))
+        # the stopping rule is absolute in clr units, so only the fixed point
+        # is compared, not the iteration count
+        np.testing.assert_allclose(
+            powered.weights.parts, closure(base.weights.parts**a), rtol=0, atol=1e-8
+        )
+        np.testing.assert_allclose(powered.dm_weights, base.dm_weights, rtol=0, atol=1e-8)

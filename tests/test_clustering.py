@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupmcdm import (
-    EmptyClusterWarning,
     PriorityMatrix,
     aggregate_awgmm,
     aggregate_gmm,
@@ -208,8 +207,7 @@ class TestKmeansCompositional:
             [[0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.7, 0.2, 0.1], [0.1, 0.2, 0.7]]
         )
         W = PriorityMatrix(rows)
-        with pytest.warns(EmptyClusterWarning):
-            model = kmeans_compositional(W, 2, seed=1, init_indices=(0, 1))
+        model = kmeans_compositional(W, 2, seed=1, init_indices=(0, 1))
         assert set(model.assignments) == {0, 1}
         assert model.n_reseeds >= 1
 
@@ -339,6 +337,29 @@ class TestClrRepresentation:
             if restarts == 1:
                 np.testing.assert_array_equal(shifted.assignments, base.assignments)
             assert canonical(shifted.assignments) == canonical(base.assignments)
+
+    # seed, number of rows, number of criteria, |power|, sign of the power
+    @given(st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 6),
+                     st.floats(0.2, 3.0), st.booleans()),
+           st.sampled_from(["aitchison", "madc"]))
+    @settings(max_examples=40, deadline=None)
+    def test_equivariant_under_powering_and_perturbation(self, case, distance):
+        # clr(w**a) = a clr(w) and clr(w p) = clr(w) + clr(p): the same seeded
+        # fit finds the same partition, with the acted-on centroids
+        seed, K, n, magnitude, negative = case
+        rng = np.random.default_rng(seed)
+        W = random_matrix(rng, K, n)
+        o = int(rng.integers(1, K + 1))
+        a = -magnitude if negative else magnitude
+        p = rng.dirichlet(np.ones(n))
+        base = kmeans_compositional(W, o, distance, seed=3, restarts=1)
+        for values, act in ((W.values**a, lambda c: c**a), (W.values * p, lambda c: c * p)):
+            moved = kmeans_compositional(PriorityMatrix(values), o, distance, seed=3, restarts=1)
+            np.testing.assert_array_equal(moved.assignments, base.assignments)
+            expected = act(base.centroids)
+            np.testing.assert_allclose(
+                moved.centroids, expected / expected.sum(axis=1, keepdims=True), rtol=0, atol=1e-12
+            )
 
     @pytest.mark.parametrize("distance", ["aitchison", "madc"])
     def test_kmeans_memory_stays_linear(self, distance):

@@ -218,6 +218,11 @@ class TestInverseLogRatio:
         assert dimension_from_pairs(45) == 10
         with pytest.raises(DimensionMismatch):
             dimension_from_pairs(5)
+        # exact in integers: no float square root to overflow or round
+        n = 3_037_000_500
+        assert dimension_from_pairs(n * (n - 1) // 2) == n
+        with pytest.raises(DimensionMismatch):
+            dimension_from_pairs(2**61)
 
 
 class TestReadoutFromLogSpace:
