@@ -20,15 +20,16 @@ Determinism: the Bayesian test's Dirichlet weights index the DMs, not the
 criterion pairs, so a panel makes one stream of S weight vectors from
 ``default_rng(seed)`` and scores every pair against it. A pair's posterior
 thus depends only on its log-ratios, the seed, S and the prior, and
-relabelling the criteria permutes the ranking exactly. Drawn in chunks of at
-most ``_DRAW_BLOCK`` elements, the stream needs no memory growing with S
-and gives the seeded output of one draw: the chunks continue it exactly.
+relabelling the criteria permutes the ranking exactly. Drawn in blocks of at
+most ``_DRAW_BLOCK`` elements (in the matrix form, of the draws' pairwise
+products), the stream needs no memory growing with S and gives the seeded
+output of one draw: the blocks continue it exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -147,42 +148,62 @@ class CredalOrdering:
         return lo <= self.p_greater <= hi
 
 
-#: Largest K + 1 scored by the matrix-product form, O(S K^2) per pair in
-#: BLAS; above it the sorted prefix-sum form, O(S K log K) per pair, wins.
+#: Largest K + 1 scored by the matrix-product form: (K+1)(K+2)/2 multiply-adds
+#: per draw and pair, in BLAS. Above it the sorted prefix-sum form wins: a
+#: sort per pair and block of draws, then O(K) numpy work per draw and pair.
 _MATRIX_FORM_MAX = 48
-#: Elements per chunk of the S Dirichlet draws, so memory does not grow with S.
+#: Elements per block of the S Dirichlet draws, or in the matrix form of
+#: their products, so memory does not grow with S.
 _DRAW_BLOCK = 1 << 17
+#: Pairs per sign tile of the matrix form: enough columns for an efficient GEMM.
+_PAIR_TILE = 128
+#: np.triu_indices(m), made once per m: the matrix form asks for it on every tile
+_upper = cache(np.triu_indices)
 
 
-def _walsh_wins(V: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _walsh_weights(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """What ``_walsh_wins`` scores draws g (S, m) on: g itself in the sorted
+    form; in the matrix form the (m(m+1)/2, S) products g_a g_b, a <= b, rows
+    in np.triu_indices(m) order, written into the flat ``out`` if given."""
+    S, m = g.shape
+    if m > _MATRIX_FORM_MAX:
+        return g
+    size = m * (m + 1) // 2 * S
+    w = (np.empty(size) if out is None else out[:size]).reshape(-1, S)
+    gt, k = g.T.copy(), 0
+    for a in range(m):
+        np.multiply(gt[a], gt[a:], out=w[k:k + m - a])
+        k += m - a
+    return w
+
+
+def _walsh_wins(V: np.ndarray, w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Draws with stat > 0, plus half those with stat = 0, per column of V.
 
     V (K+1, pairs) holds each pair's log-ratios below the pseudo-observation
-    0; g (S, K+1) holds the draws. stat = sum_{a<=b} g_a g_b sign(v_a + v_b).
-    The matrix form signs all pairs at once: given block_width(m(m+1)/2) pairs
-    or fewer, its sign block keeps within PAIR_BLOCK elements. Counting exact
-    zeros as one half maps all-equal data to S/2, makes the counts of V and -V
-    sum to exactly S, and makes counts add exactly over chunks of draws.
+    0; w = _walsh_weights(g) for draws g (S, K+1). stat = sum_{a<=b} g_a g_b
+    sign(v_a + v_b). The matrix form signs all pairs at once and scores them
+    in one product with w, in ``work``: (2, max(m(m+1)/2, S) * pairs) scratch
+    that calls share, as fresh megabyte temporaries would fault pages in anew.
+    Counting exact zeros as one half maps all-equal data to S/2, makes the
+    counts of V and -V sum to exactly S, and makes counts add exactly over
+    blocks of draws.
     """
-    S, m = g.shape
-    wins = np.zeros(V.shape[1])
+    m, c = V.shape
     if m <= _MATRIX_FORM_MAX:
-        a, b = np.triu_indices(m)
-        step = block_width(a.size)
-        # fancy indexing copies; the in-place steps keep one fewer
-        # temporary alive, which shows in the resident memory of `rank`
-        signs = V[a]
-        signs += V[b]
-        np.sign(signs, out=signs)
-        for s in range(0, S, step):
-            weights = g[s:s + step, a]
-            weights *= g[s:s + step, b]
-            stat = weights @ signs
-            wins += (stat > 0).sum(axis=0) + 0.5 * (stat == 0).sum(axis=0)
-        return wins
+        (a, b), S = _upper(m), w.shape[1]
+        one, two = np.empty((2, max(a.size, S) * c)) if work is None else work
+        lo, hi = (f[:a.size * c].reshape(-1, c) for f in (one, two))
+        np.take(V, a, axis=0, out=lo, mode="clip")
+        np.take(V, b, axis=0, out=hi, mode="clip")
+        # a sign written in place runs many times slower: each goes to the other array
+        signs = np.sign(np.add(lo, hi, out=lo), out=hi)
+        stat = np.matmul(signs.T, w, out=one[:c * S].reshape(c, S))
+        # (stat > 0) + (stat = 0) / 2 = (1 + sign(stat)) / 2, summed exactly
+        return 0.5 * (S + np.sign(stat, out=two[:c * S].reshape(c, S)).sum(axis=1))
     # twice stat: each a weighs the g-mass above -v_a minus the mass below it,
     # read off prefix sums of g in ascending order of v
-    step = block_width(m)
+    g, wins, step = w, np.zeros(c), block_width(m)
     for p, v in enumerate(V.T):
         order = np.argsort(v, kind="stable")
         ordered = v[order]
@@ -191,7 +212,7 @@ def _walsh_wins(V: np.ndarray, g: np.ndarray) -> np.ndarray:
         below[order[::-1]] = np.searchsorted(ordered, -ordered[::-1], side="left")
         upto[order[::-1]] = np.searchsorted(ordered, -ordered[::-1], side="right")
         sv = np.sign(v)
-        for s in range(0, S, step):
+        for s in range(0, len(g), step):
             chunk = g[s:s + step]
             prefix = np.zeros((chunk.shape[0], m + 1))
             np.cumsum(np.take(chunk, order, axis=1), axis=1, out=prefix[:, 1:])
@@ -224,14 +245,21 @@ def _bayes_posteriors(values: np.ndarray, mc_samples: int, seed,
     _check_knobs(mc_samples=mc_samples, seed=seed, prior_weight=prior_weight)
     alpha = np.concatenate(([prior_weight], np.ones(K)))
     rng = np.random.default_rng(seed)
-    rows = max(1, _DRAW_BLOCK // (K + 1))
+    m, P = K + 1, (K + 1) * (K + 2) // 2
     # a zero first row heads each block with the pseudo-observation 0
     x = np.vstack((np.zeros(values.shape[1]), np.log(values)))
+    if m > _MATRIX_FORM_MAX:
+        rows, width, block, work = max(1, _DRAW_BLOCK // m), block_width(P), None, None
+    else:
+        # each block's products are made once and every pair tile is scored on
+        # them; the products and one tile's stats each fit in _DRAW_BLOCK
+        width = min(_PAIR_TILE, values.shape[1] * (values.shape[1] - 1) // 2)
+        rows = max(1, min(mc_samples, _DRAW_BLOCK // max(P, _PAIR_TILE)))
+        block, work = np.empty(P * rows), np.empty((2, max(P, rows) * width))
     wins = 0.0
     for s in range(0, mc_samples, rows):
-        g = rng.dirichlet(alpha, size=min(rows, mc_samples - s))
-        wins += pair_statistic(x, lambda V, _: _walsh_wins(V, g),
-                               block_width((K + 1) * (K + 2) // 2))
+        w = _walsh_weights(rng.dirichlet(alpha, size=min(rows, mc_samples - s)), block)
+        wins += pair_statistic(x, lambda V, _: _walsh_wins(V, w, work), width)
     return wins / mc_samples
 
 

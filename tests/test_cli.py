@@ -346,6 +346,22 @@ class TestRankCommand:
         assert main(list(argv)) == 0
         assert capsys.readouterr().out == default
 
+    def test_json_does_not_depend_on_blas_threads(self, tmp_path):
+        # 30 DMs x 40 criteria: 780 pairs in several sign tiles of the matrix
+        # form, whose products are large enough for OpenBLAS to use threads
+        values = np.random.default_rng(43).dirichlet(np.ones(40), size=30)
+        path = write_csv(tmp_path / "w.csv", csv_text(values.tolist()))
+        argv = [sys.executable, "-m", "groupmcdm.cli", "rank", "--input", path,
+                "--seed", "3", "--mc-samples", "1000"]
+        assert 40 * 39 // 2 > 2 * credal._PAIR_TILE  # three tiles or more
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            outputs.add(subprocess.run(argv, capture_output=True, env=env, check=True).stdout)
+        assert len(outputs) == 1
+
     def test_json_lists_all_pairs(self, capsys, example_csv):
         code, out, _ = run_cli(
             capsys, "rank", "--input", example_csv, "--seed", "5",

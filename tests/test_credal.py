@@ -324,7 +324,7 @@ class TestWalshKernel:
         V = tied_log_ratios(rng, n_dms, 5)
         g = rng.dirichlet(np.r_[0.7, np.ones(n_dms)], size=1000)
         np.testing.assert_array_equal(
-            credal._walsh_wins(V, g) / len(g), sign_sum_posterior(V, g)
+            credal._walsh_wins(V, credal._walsh_weights(g)) / len(g), sign_sum_posterior(V, g)
         )
 
     @pytest.mark.parametrize("n_dms", [2, 5, 30, 70])
@@ -335,7 +335,7 @@ class TestWalshKernel:
         forms = []
         for largest in (n_dms + 1, 0):  # matrix-product form, then sorted form
             monkeypatch.setattr(credal, "_MATRIX_FORM_MAX", largest)
-            forms.append(credal._walsh_wins(V, g) / len(g))
+            forms.append(credal._walsh_wins(V, credal._walsh_weights(g)) / len(g))
         np.testing.assert_array_equal(forms[0], forms[1])
 
     def test_mirror_is_exact_complement(self):
@@ -343,8 +343,9 @@ class TestWalshKernel:
         for n_dms in (4, 200):
             V = tied_log_ratios(rng, n_dms, 20)
             g = rng.dirichlet(np.ones(n_dms + 1), size=1000)
-            p = credal._walsh_wins(V, g) / len(g)
-            q = credal._walsh_wins(-V, g) / len(g)
+            w = credal._walsh_weights(g)
+            p = credal._walsh_wins(V, w) / len(g)
+            q = credal._walsh_wins(-V, w) / len(g)
             assert np.all(p + q == 1.0)
             assert p[0] == 0.5
 
@@ -362,13 +363,35 @@ class TestWalshKernel:
         assert peak < 3 * draws
 
 
+def draw_elements(n_dms):
+    """Elements one draw takes in a block: in the matrix form its (K+1)(K+2)/2
+    pairwise products, or its stats over a pair tile if more; in the sorted
+    form its K+1 weights."""
+    m = n_dms + 1
+    if m <= credal._MATRIX_FORM_MAX:
+        return max(m * (m + 1) // 2, credal._PAIR_TILE)
+    return m
+
+
+def tied_matrix(rng, n_dms, n_criteria):
+    """Integer weights: zero and mirrored log-ratios, so stat = 0 occurs."""
+    return PriorityMatrix(rng.integers(1, 4, size=(n_dms, n_criteria)).astype(float))
+
+
+def traced_peak(W, mc_samples):
+    tracemalloc.start()
+    try:
+        credal_ranking(W, seed=1, mc_samples=mc_samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDrawChunks:
     @pytest.mark.parametrize("prior_weight", [0.05, 1.0, 3.0])
     @pytest.mark.parametrize("n_dms", [2, 5, 47, 48, 300])  # matrix form up to K + 1 = 48
     def test_any_chunk_size_gives_the_default_ranking(self, monkeypatch, n_dms, prior_weight):
-        # integer weights give zero and mirrored log-ratios, so stat = 0 occurs
-        rng = np.random.default_rng(94 + n_dms)
-        W = PriorityMatrix(rng.integers(1, 4, size=(n_dms, 4)).astype(float))
+        W = tied_matrix(np.random.default_rng(94 + n_dms), n_dms, 4)
 
         def posteriors():
             ranking = credal_ranking(W, seed=23, mc_samples=1000, prior_weight=prior_weight)
@@ -376,31 +399,74 @@ class TestDrawChunks:
 
         default = posteriors()
         for rows in (1, 7, 1001):  # one draw, an odd count, more than S
-            monkeypatch.setattr(credal, "_DRAW_BLOCK", rows * (n_dms + 1))
+            monkeypatch.setattr(credal, "_DRAW_BLOCK", rows * draw_elements(n_dms))
+            assert posteriors() == default
+
+    @pytest.mark.parametrize("n_dms", [2, 5, 47])  # the matrix form
+    def test_any_pair_tile_gives_the_default_ranking(self, monkeypatch, n_dms):
+        W = tied_matrix(np.random.default_rng(96 + n_dms), n_dms, 9)
+
+        def posteriors():
+            return [o.p_greater for o in credal_ranking(W, seed=29, mc_samples=1000).orderings]
+
+        default = posteriors()
+        # one pair, a width that leaves a short last tile, all 36 pairs; each
+        # with one draw, an odd count and more than S per block
+        for tile, rows in itertools.product((1, 7, 36), (1, 7, 1001)):
+            monkeypatch.setattr(credal, "_PAIR_TILE", tile)
+            monkeypatch.setattr(credal, "_DRAW_BLOCK", rows * draw_elements(n_dms))
             assert posteriors() == default
 
     def test_peak_memory_does_not_grow_with_draws(self):
         # one draw of all S (K+1) weights would take 24 MB at S = 10^4
         W = random_matrix(np.random.default_rng(95), 300, 3)
-        peaks = []
-        for mc_samples in (1000, 10_000):
-            tracemalloc.start()
-            try:
-                credal_ranking(W, seed=1, mc_samples=mc_samples)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(W, mc_samples) for mc_samples in (1000, 10_000)]
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < 4e6
 
+    def test_matrix_form_memory_is_flat_in_draws_and_pairs(self):
+        # K + 1 = 31: one block of products and one pair tile, whatever S and n
+        rng = np.random.default_rng(97)
+        narrow, wide = random_matrix(rng, 30, 40), random_matrix(rng, 30, 100)
+        base = traced_peak(narrow, 1000)
+        for peak in (traced_peak(narrow, 10_000), traced_peak(wide, 1000)):
+            assert 0.9 * base <= peak <= 1.1 * base
+            assert peak < 2.5e6
+
+
+class TestPowering:
+    """W^a, rows closed again, scales every log-ratio by a: the ranking of W
+    for a > 0 and its complement for a < 0. Continuous panels have no ties
+    that rounding could break, so the counts behind both tests are equal."""
+
+    @pytest.mark.parametrize("test", [credal.BAYES_WILCOXON, credal.SIGN_TEST])
+    @pytest.mark.parametrize("n_dms", [12, 60])  # the matrix form, the sorted form
+    def test_powered_panel_ranks_alike_or_reversed(self, test, n_dms):
+        W = random_matrix(np.random.default_rng(98 + n_dms), n_dms, 5)
+
+        def posteriors(values):
+            ranking = credal_ranking(PriorityMatrix(values), test=test, seed=31, mc_samples=1000)
+            return np.array([o.p_greater for o in ranking.orderings])
+
+        base = posteriors(W.values)
+        for power in (0.5, 2.0, -1.0, -2.5):
+            powered = W.values ** power
+            p = posteriors(powered / powered.sum(axis=1, keepdims=True))
+            if power > 0:
+                np.testing.assert_array_equal(p, base)
+            else:  # up to the rounding of 1 - p
+                np.testing.assert_allclose(p, 1.0 - base, rtol=0, atol=1e-15)
+
 
 class TestSharedStream:
-    def test_ranking_equals_single_pair_test(self, pair_block):
-        rng = np.random.default_rng(92)
-        for n_dms, n in ((5, 4), (80, 5)):
+    def test_ranking_equals_single_pair_test(self, monkeypatch, pair_block):
+        rng, default_tile = np.random.default_rng(92), credal._PAIR_TILE
+        for n_dms, n in ((5, 4), (80, 5)):  # the matrix form, the sorted form
             W = random_matrix(rng, n_dms, n)
             for width in WIDTHS:
-                pair_block(width, (n_dms + 1) * (n_dms + 2) // 2)  # one Walsh sign block
+                # pairs per tile of the matrix form, per pair block of the sorted form
+                monkeypatch.setattr(credal, "_PAIR_TILE", width or default_tile)
+                pair_block(width, (n_dms + 1) * (n_dms + 2) // 2)
                 ranking = credal_ranking(W, seed=17, mc_samples=1000)
                 for i in range(n):
                     for j in range(n):
