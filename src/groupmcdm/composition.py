@@ -319,7 +319,9 @@ def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Compos
 
     The array must be finite, antisymmetric and additively consistent within ``tol``;
     the composition is then the closed exponential of any column (the first
-    is used). ``tol`` is a real number, not a bool, positive and finite.
+    is used). ``tol`` is a real number, not a bool, positive and finite. The
+    check costs O(n^2) on an array the first column's misfit clears; any other
+    is scanned over all triples, and the exact violation decides and is reported.
 
     On ``np.log(m)`` of a pairwise comparison matrix m this is the PCM check:
     it returns m's priority vector, or raises when m is not reciprocal or not
@@ -332,10 +334,18 @@ def array_to_composition(e, labels=None, tol: float = CONSISTENCY_TOL) -> Compos
         raise DimensionMismatch(f"expected a square array, got shape {e.shape}")
     if e.shape[0] < 2:
         raise DimensionTooSmall(e.shape[0])
-    anti = float(np.max(np.abs(e + e.T)))
-    if anti > tol:
-        raise InconsistentArray(anti, tol, what="antisymmetry")
-    violation = consistency_violation(e)
-    if violation > tol:
-        raise InconsistentArray(violation, tol)
-    return Composition(closed_exp(e[:, 0]), labels)
+    x = e[:, 0]
+    # with miss_ij = x_i - x_j - e_ij, e_ih + e_hj - e_ij = miss_ij - miss_ih - miss_hj and
+    # e_ij + e_ji = -miss_ij - miss_ji: 3 max|miss| bounds both checks, 32 eps max|e| their
+    # rounding, so only an array this bound fails is scanned in O(n^3). An entry near the
+    # float limit overflows to inf, which fails every check without a warning.
+    with np.errstate(over="ignore"):
+        bound = 3 * np.max(np.abs(x[:, None] - x - e))
+        if bound + 32 * np.finfo(float).eps * np.max(np.abs(e)) > tol:
+            anti = float(np.max(np.abs(e + e.T)))
+            if anti > tol:
+                raise InconsistentArray(anti, tol, what="antisymmetry")
+            violation = consistency_violation(e)
+            if violation > tol:
+                raise InconsistentArray(violation, tol)
+    return Composition(closed_exp(x), labels)

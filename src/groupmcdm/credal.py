@@ -149,8 +149,12 @@ class CredalOrdering:
 
 
 #: Largest K + 1 scored by the matrix-product form: (K+1)(K+2)/2 multiply-adds
-#: per draw and pair, in BLAS. Above it the sorted prefix-sum form wins: a
-#: sort per pair and block of draws, then O(K) numpy work per draw and pair.
+#: per draw and pair, in BLAS. Above it the sorted prefix-sum form runs: a sort
+#: per pair and block of draws, then O(K) numpy work per draw and pair. Which
+#: is faster depends on the pair count too, as the matrix form builds its
+#: products once per block for all pairs and its GEMMs fill out with up to
+#: _PAIR_TILE pairs: at S = 2000 on one BLAS thread the sorted form wins from
+#: K + 1 = 40 with 3 pairs, near 96 with 45, and not yet at 96 with 435.
 _MATRIX_FORM_MAX = 48
 #: Elements per block of the S Dirichlet draws, or in the matrix form of
 #: their products, so memory does not grow with S.

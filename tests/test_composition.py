@@ -11,6 +11,7 @@ from groupmcdm import (
     Composition,
     PriorityMatrix,
     aggregate_awgmm,
+    aggregate_gmm,
     array_to_composition,
     build_average_array,
     close,
@@ -21,6 +22,7 @@ from groupmcdm import (
     inverse_log_ratio,
     log_ratio_transform,
 )
+from groupmcdm import composition
 from groupmcdm.composition import (
     closed_exp,
     clr,
@@ -382,6 +384,78 @@ class TestPcmInLogSpace:
         with pytest.raises(InconsistentArray, match="antisymmetry") as exc:
             array_to_composition(np.log(m))
         assert exc.value.max_violation == pytest.approx(2 * np.log(2.0))
+
+
+def exact_violations(e):
+    """The antisymmetry residual and the largest triple violation, from their
+    definitions: the latter over the whole (n, n, n) broadcast."""
+    return (float(np.max(np.abs(e + e.T))),
+            float(np.max(np.abs(e[:, :, None] + e[None, :, :] - e[:, None, :]))))
+
+
+def exact_readout(e, tol):
+    """Oracle: the error message of the first check ``tol`` fails, or else the
+    bytes of the closed exponential of the first column."""
+    anti, violation = exact_violations(e)
+    if anti > tol:
+        return str(InconsistentArray(anti, tol, what="antisymmetry"))
+    if violation > tol:
+        return str(InconsistentArray(violation, tol))
+    return Composition(closed_exp(e[:, 0])).parts.tobytes()
+
+
+def readout(read, *args):
+    """What a readout gives: its error message or its parts' bytes."""
+    try:
+        return read(*args).parts.tobytes()
+    except InconsistentArray as exc:
+        return str(exc)
+
+
+class TestFastConsistencyCheck:
+    """The readout clears consistency through the first column's misfit in O(n^2)
+    and scans all triples only when that fails: same verdict, message and parts."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+           st.sampled_from(["noise", "eps", "exact"]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_answer_as_the_exact_rule(self, seed, antisymmetric, near):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+        noise = 0.0 if near != "noise" and rng.random() < 0.5 else 10.0 ** rng.uniform(-13, -6)
+        e = g[:, None] - g + noise * rng.normal(size=(n, n))
+        if antisymmetric:
+            e = np.triu(e, 1) - np.triu(e, 1).T
+        if near == "noise":
+            tol = noise * 10.0 ** rng.uniform(0, 1)
+        elif near == "eps":
+            tol = np.finfo(float).eps * np.max(np.abs(e)) * 10.0 ** rng.uniform(0, 2)
+        else:
+            # at the exact rule's own number only the rounding margin keeps the
+            # O(n^2) check from clearing an array that the scan rejects
+            tol = max(*exact_violations(e), 5e-324) * rng.uniform(0.5, 1.5)
+        assert readout(array_to_composition, e, None, tol) == exact_readout(e, tol)
+        v = e[pair_indices(n)]
+        assert readout(inverse_log_ratio, v, None, tol) == exact_readout(
+            expand_log_ratios(v), tol)
+
+    def test_consistent_input_never_reaches_the_scan(self, monkeypatch):
+        def scan(xi):
+            raise AssertionError("the O(n^3) scan ran on a consistent array")
+
+        monkeypatch.setattr(composition, "consistency_violation", scan)
+        rng = np.random.default_rng(65)
+        for _ in range(30):
+            K, n = int(rng.integers(1, 40)), int(rng.integers(2, 30))
+            W = random_matrix(rng, K, n)
+            aggregate_gmm(W)
+            aggregate_awgmm(W)
+            w = close(rng.dirichlet(np.ones(n)) + 1e-9)
+            back = inverse_log_ratio(log_ratio_transform(w))
+            np.testing.assert_allclose(back.parts, w.parts, rtol=0, atol=1e-12)
+        c = array_to_composition(np.log(TestPcmInLogSpace.CONSISTENT))
+        np.testing.assert_allclose(c.parts, np.array([8, 4, 1]) / 13, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -176,6 +176,10 @@ def ex(name, error=InputError, **overrides):
 @ex("AwgmmOptions", sigma_denominator=10**400)
 @ex("credal_ranking", test="sign", prior_a=10**400)
 @ex("dimension_from_pairs", DimensionMismatch, m=2**61)
+# finite log-ratios whose sums overflow: the readout warned before its error
+@ex("inverse_log_ratio", NumericError, v=[1e308, -1e308, 1e308])
+@ex("array_to_composition", NumericError,
+    e=[[0, 1e308, 0], [-1e308, 0, 1.7e308], [0, -1.7e308, 0]])
 @settings(max_examples=300, deadline=None)
 def test_library_contract(case, error):
     # a finite result or a GroupMcdmError, with no warning; an example must raise `error`

@@ -279,6 +279,32 @@ class TestCriterionPermutation:
             np.testing.assert_allclose(got.tau, ad.tau[rows_cols], rtol=0, atol=tol)
 
 
+class TestSimplexActions:
+    """Perturbing the panel by p shifts each average by ln(p_i / p_j) and keeps
+    each spread; powering it by a scales the averages by a, the spreads by |a|."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.2, max_value=3.0),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_every_ad_array_follows_perturbation_and_powering(self, seed, magnitude, negative):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        W = random_matrix(rng, int(rng.integers(2, 13)), n)
+        p, a = rng.dirichlet(np.ones(n)), -magnitude if negative else magnitude
+        log_p = np.log(p)
+        for estimator, tol in (("mean", 1e-10), ("median", 1e-10), ("awgmm", 1e-8)):
+            try:
+                ad, moved, powered = (average_deviation_array(V, estimator) for V in (
+                    W, PriorityMatrix(W.values * p), PriorityMatrix(W.values**a)))
+            except NumericError:
+                # AWGMM stopped unconverged on one panel: no fixed point to compare
+                continue
+            np.testing.assert_allclose(moved.xi, ad.xi + log_p[:, None] - log_p, rtol=0, atol=tol)
+            np.testing.assert_allclose(moved.tau, ad.tau, rtol=0, atol=tol)
+            np.testing.assert_allclose(powered.xi, a * ad.xi, rtol=0, atol=tol)
+            np.testing.assert_allclose(powered.tau, abs(a) * ad.tau, rtol=0, atol=tol)
+
+
 class TestMemory:
     @pytest.mark.parametrize("run", [
         lambda W: average_deviation_array(W, "mean"),
