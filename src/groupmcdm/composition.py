@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,11 +44,14 @@ CONSISTENCY_TOL = 1e-8
 PAIR_BLOCK = 1 << 14
 
 
+@lru_cache(maxsize=8)
 def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of all ordered pairs i < j, lexicographic."""
+    """Row/column indices of all ordered pairs i < j, lexicographic; cached, read-only."""
     # same result as np.triu_indices(n, k=1), at a fifth of its cost for small n
     r = np.arange(n)
-    return np.nonzero(r[:, None] < r)
+    i, j = np.nonzero(r[:, None] < r)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def dimension_from_pairs(m: int) -> int:

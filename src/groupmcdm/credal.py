@@ -149,12 +149,12 @@ class CredalOrdering:
 
 
 #: Largest K + 1 scored by the matrix-product form: (K+1)(K+2)/2 multiply-adds
-#: per draw and pair, in BLAS. Above it the sorted prefix-sum form runs: a sort
-#: per pair and block of draws, then O(K) numpy work per draw and pair. Which
-#: is faster depends on the pair count too, as the matrix form builds its
-#: products once per block for all pairs and its GEMMs fill out with up to
-#: _PAIR_TILE pairs: at S = 2000 on one BLAS thread the sorted form wins from
-#: K + 1 = 40 with 3 pairs, near 96 with 45, and not yet at 96 with 435.
+#: per draw and pair, in BLAS. Above it the sorted form runs: a sort per pair
+#: and block of draws, bucket bounds from K + 1 = 128, then O(K) prefix sums per
+#: draw and pair they leave open. Which is faster depends on the pair count too,
+#: as the matrix form builds its products once per block for all pairs and fills
+#: its GEMMs with up to _PAIR_TILE pairs: at S = 2000 on one BLAS thread the
+#: sorted form wins from K + 1 = 40 with 3 pairs, and near 96 with 45 and 435.
 _MATRIX_FORM_MAX = 48
 #: Elements per block of the S Dirichlet draws, or in the matrix form of
 #: their products, so memory does not grow with S.
@@ -181,6 +181,15 @@ def _walsh_weights(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return w
 
 
+def _bucket_bounds(M: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple:
+    """Per row of bucket masses M: twice the Walsh stat's sure part, and the mass straddling 0."""
+    prefix = np.zeros((len(M), M.shape[1] + 1))
+    np.cumsum(M, axis=1, out=prefix[:, 1:])
+    at_up, at_down = prefix.take(up, axis=1), prefix.take(down, axis=1)
+    return (np.einsum("sb,sb->s", M, prefix[:, -1:] - at_up - at_down),
+            np.einsum("sb,sb->s", M, at_up - at_down))
+
+
 def _walsh_wins(V: np.ndarray, w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Draws with stat > 0, plus half those with stat = 0, per column of V.
 
@@ -205,19 +214,41 @@ def _walsh_wins(V: np.ndarray, w: np.ndarray, work: np.ndarray | None = None) ->
         stat = np.matmul(signs.T, w, out=one[:c * S].reshape(c, S))
         # (stat > 0) + (stat = 0) / 2 = (1 + sign(stat)) / 2, summed exactly
         return 0.5 * (S + np.sign(stat, out=two[:c * S].reshape(c, S)).sum(axis=1))
-    # twice stat: each a weighs the g-mass above -v_a minus the mass below it,
-    # read off prefix sums of g in ascending order of v
     g, wins, step = w, np.zeros(c), block_width(m)
+    # Bounds decide most draws first. Cut sorted v into B <= 32 equal-count
+    # buckets [lo_I, hi_I] of g-mass M_I: bucket I meets buckets J >= up_I
+    # (lo_I + lo_J > 0) and J < down_I (hi_I + hi_J < 0) at a known sign, the
+    # rest at most at their mass, and a = b adds at most g_a^2. For rows of g
+    # summing to 1 and u = eps / 2, the prefix-sum stat is off by at most
+    # (5m + 6)u and the bounds by (9m + 8B + 20)u: past 64 m eps, signs agree.
+    first = np.arange(min(m, 32)) * m // min(m, 32)  # B <= m bucket starts, increasing
     for p, v in enumerate(V.T):
         order = np.argsort(v, kind="stable")
         ordered = v[order]
-        # the keys -v in ascending order search fastest; scatter back through order
+        lo, hi = ordered[first], ordered[np.append(first[1:], m) - 1]
+        up, down = np.searchsorted(lo, -lo, side="right"), np.searchsorted(hi, -hi, side="left")
+        (certain, spread), rows = _bucket_bounds(np.diff(first, append=m)[None] / m, up, down), g
+        # bounds pay with buckets of 4 DMs or more (with 2, at K + 1 = 64, summing the
+        # masses cost as much as the prefix sums) that decide the draw of equal weights
+        if m >= 4 * 32 and abs(certain[0]) > spread[0]:
+            # masses a chunk of draws at a time, as the prefix sums: small temporaries
+            certain, spread = _bucket_bounds(np.concatenate([np.add.reduceat(np.take(
+                g[s:s + step], order, axis=1), first, axis=1) for s in range(0, len(g), step)]),
+                up, down)
+            spread += np.einsum("sa,sa->s", g, g) + 64 * m * np.finfo(float).eps
+            wins[p] += np.count_nonzero(certain > spread)
+            rows = g[np.abs(certain) <= spread]
+            if not len(rows):
+                continue
+        # twice stat: each a weighs the g-mass above -v_a minus the mass below
+        # it, read off prefix sums of g in ascending order of v; the keys -v in
+        # ascending order search fastest, scattered back through order
         below, upto = np.empty((2, m), dtype=np.intp)
         below[order[::-1]] = np.searchsorted(ordered, -ordered[::-1], side="left")
         upto[order[::-1]] = np.searchsorted(ordered, -ordered[::-1], side="right")
         sv = np.sign(v)
-        for s in range(0, len(g), step):
-            chunk = g[s:s + step]
+        for s in range(0, len(rows), step):
+            chunk = rows[s:s + step]
             prefix = np.zeros((chunk.shape[0], m + 1))
             np.cumsum(np.take(chunk, order, axis=1), axis=1, out=prefix[:, 1:])
             # in place, in the order of total - upto - below + chunk * sv

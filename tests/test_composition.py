@@ -488,6 +488,15 @@ class TestPriorityMatrix:
         i, j = pair_indices(4)
         assert list(zip(i, j)) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    def test_pair_indices_are_shared_and_read_only(self, n):
+        i, j = pair_indices(n)
+        for got, want in zip((i, j), np.triu_indices(n, 1)):
+            np.testing.assert_array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[:] = 0
+        assert pair_indices(n)[0] is i
+
     def test_zero_row_entry_rejected(self):
         with pytest.raises(NonPositiveEntry):
             PriorityMatrix(np.array([[0.5, 0.5], [0.0, 1.0]]))

@@ -317,6 +317,40 @@ def tied_log_ratios(rng, n_dms, n_pairs):
     return V
 
 
+def leaning_log_ratios(rng, n_dms, n_pairs):
+    """``tied_log_ratios`` whose pairs lean one way, so that the sorted form's
+    bucket bounds decide draws: pair 1 puts three DMs in four at 0.5 and the
+    rest at -0.5 (exact v_a = -v_b ties in straddling buckets), later pairs
+    shift their nonzero log-ratios, and pair 0 still ties for every DM."""
+    V = tied_log_ratios(rng, n_dms, n_pairs)
+    V[1:, 1] = np.where(np.arange(n_dms) % 4, 0.5, -0.5)
+    V[1:, 2:] += np.where(V[1:, 2:] != 0, rng.normal(scale=2.0, size=n_pairs - 2), 0.0)
+    return V
+
+
+def three_group_panel(rng, n_dms, n_criteria):
+    """Three tight Dirichlet groups plus 3% uniform deviants, shuffled."""
+    centres = rng.dirichlet(np.full(n_criteria, 3.0), size=3)
+    deviants = n_dms * 3 // 100
+    sizes = np.diff(np.linspace(0, n_dms - deviants, 4).astype(int))
+    rows = [rng.dirichlet(200 * c + 1, size=k) for c, k in zip(centres, sizes)]
+    rows.append(rng.dirichlet(np.ones(n_criteria), size=deviants))
+    return PriorityMatrix(rng.permutation(np.concatenate(rows)))
+
+
+def prefix_sum_rows(monkeypatch):
+    """Draws the sorted form sends to its prefix sums, counted as they pass:
+    rows of more than 32 weights, as the bounds sum at most 32 bucket masses."""
+    rows, cumsum = [], np.cumsum
+
+    def counting(a, *args, **kwargs):
+        rows.append(len(a) if a.shape[1] > 32 else 0)
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counting)
+    return rows
+
+
 class TestWalshKernel:
     @pytest.mark.parametrize("n_dms", [2, 3, 6, 30, 47, 48, 100, 300])
     def test_equals_sign_matrix_oracle(self, n_dms):
@@ -337,6 +371,50 @@ class TestWalshKernel:
             monkeypatch.setattr(credal, "_MATRIX_FORM_MAX", largest)
             forms.append(credal._walsh_wins(V, credal._walsh_weights(g)) / len(g))
         np.testing.assert_array_equal(forms[0], forms[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           m=st.sampled_from([3, 6, 17, 31, 33]) | st.integers(49, 400),
+           prior_weight=st.sampled_from([0.05, 1.0, 3.0]))
+    def test_bounded_sorted_form_is_exact(self, seed, m, prior_weight):
+        # m = K + 1 below, at and above the 32 buckets and the matrix form; bounds from 128
+        rng = np.random.default_rng(seed)
+        V = np.hstack((tied_log_ratios(rng, m - 1, 3), leaning_log_ratios(rng, m - 1, 5)))
+        g = rng.dirichlet(np.r_[prior_weight, np.ones(m - 1)], size=300)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(credal, "_MATRIX_FORM_MAX", 0)  # the sorted form at every m
+            wins = credal._walsh_wins(V, credal._walsh_weights(g))
+        np.testing.assert_array_equal(wins / len(g), sign_sum_posterior(V, g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 200))
+    def test_bucket_bounds_hold_for_every_draw(self, seed, m):
+        # twice the stat lies within the sure part +- (straddling mass + sum g^2)
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([0.3, 1.0, 3.0])
+        v = np.r_[0.0, rng.normal(loc=rng.normal(), scale=scale, size=m - 1)]
+        g = rng.dirichlet(np.ones(m), size=200)
+        order = np.argsort(v, kind="stable")
+        first = np.arange(min(m, 32)) * m // min(m, 32)
+        lo, hi = v[order][first], v[order][np.r_[first[1:], m] - 1]
+        up, down = np.searchsorted(lo, -lo, side="right"), np.searchsorted(hi, -hi, side="left")
+        M = np.add.reduceat(g[:, order], first, axis=1)
+        certain, straddle = credal._bucket_bounds(M, up, down)
+        twice = (np.einsum("sa,ab,sb->s", g, np.sign(v[:, None] + v), g)
+                 + (g * g * np.sign(v)).sum(axis=1))
+        assert np.all(np.abs(twice - certain) <= straddle + (g * g).sum(axis=1) + 1e-12)
+
+    def test_bounds_decide_most_draws(self, monkeypatch):
+        W = three_group_panel(np.random.default_rng(101), 1000, 6)
+        rows = prefix_sum_rows(monkeypatch)
+        credal_ranking(W, seed=7, mc_samples=1000)
+        assert sum(rows) < 0.1 * 1000 * 15
+
+    def test_all_zero_pair_takes_the_prefix_sums(self, monkeypatch):
+        g = np.random.default_rng(102).dirichlet(np.ones(1001), size=200)
+        rows = prefix_sum_rows(monkeypatch)
+        assert credal._walsh_wins(np.zeros((1001, 1)), g)[0] == 100.0
+        assert sum(rows) == 200
 
     def test_mirror_is_exact_complement(self):
         rng = np.random.default_rng(90)
