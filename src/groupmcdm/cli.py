@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import aggregation, clustering, credal, dispersion
 from .composition import PriorityMatrix
 from .errors import (
     GroupMcdmError,
@@ -35,6 +34,10 @@ from .errors import (
 ROW_SUM_WARN_TOL = 1e-6
 DEFAULT_ZERO_EPS = 1e-6
 DEVIANT_THRESHOLD = 0.01
+# the estimator modules' names, copied so that parsing imports none of them: a
+# command imports its modules when it runs (tests keep each copy equal)
+_METHODS, _TESTS = ("amm", "gmm", "awgmm"), ("bayes-wilcoxon", "sign")
+_DISTANCES = ("aitchison", "madc")
 
 AMM_WARNING = (
     "arithmetic-mean aggregation ignores the ratio scale of priority weights "
@@ -121,20 +124,20 @@ class RunConfig:
     output_format: str = "json"
     seed: int | None = None
     # aggregate
-    method: str = aggregation.GMM
+    method: str = _METHODS[1]
     max_iter: int = 500
     tol: float = 1e-10
     sigma_denominator: float | None = None
     deviant_threshold: float = DEVIANT_THRESHOLD
     # rank
-    test: str = credal.BAYES_WILCOXON
+    test: str = _TESTS[0]
     mc_samples: int = 10_000
     prior_weight: float = 1.0
     prior_a: float = 1.0
     prior_b: float = 1.0
     # cluster
     clusters: int = 3
-    distance: str = clustering.AITCHISON
+    distance: str = _DISTANCES[0]
     restarts: int = 10
     with_baseline: bool = False
 
@@ -148,7 +151,7 @@ class RunConfig:
         if self.seed is not None and self.seed < 0:
             raise InputError("--seed must be non-negative")
         needs_seed = self.command == "cluster" or (
-            self.command == "rank" and self.test == credal.BAYES_WILCOXON
+            self.command == "rank" and self.test == _TESTS[0]
         )
         if needs_seed and self.seed is None:
             raise InputError(f"--seed is required for this {self.command} invocation")
@@ -187,12 +190,14 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _awgmm_options(config: RunConfig) -> aggregation.AwgmmOptions:
+def _awgmm_options(config: RunConfig):
     """The AWGMM knobs of ``config``, for `aggregate` and `describe` alike."""
+    from . import aggregation
     return aggregation.AwgmmOptions(config.max_iter, config.tol, config.sigma_denominator)
 
 
 def cmd_aggregate(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
+    from . import aggregation
     opts = _awgmm_options(config)  # checked whichever method runs
     if config.method == aggregation.AMM:
         result = aggregation.aggregate_amm(W)
@@ -228,6 +233,7 @@ def cmd_aggregate(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
 
 
 def cmd_describe(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
+    from . import dispersion
     arrays, opts = {}, _awgmm_options(config)
     for estimator in (dispersion.AD_MEAN, dispersion.AD_MEDIAN, dispersion.AD_AWGMM):
         ad = dispersion.average_deviation_array(W, estimator, opts)
@@ -240,6 +246,7 @@ def cmd_describe(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
 
 
 def cmd_rank(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
+    from . import credal
     ranking = credal.credal_ranking(
         W,
         test=config.test,
@@ -272,6 +279,8 @@ def cmd_rank(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
 
 
 def cmd_cluster(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
+    from . import clustering
+
     def model_dict(model):
         return {
             "distance": model.distance,
@@ -419,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add_parser("aggregate", "aggregate the DM priorities into one vector")
-    p.add_argument("--method", choices=(aggregation.AMM, aggregation.GMM, aggregation.AWGMM))
+    p.add_argument("--method", choices=_METHODS)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--sigma-denominator", type=float)
@@ -428,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_parser("describe", "average-deviation arrays (mean, median, robust)")
 
     p = add_parser("rank", "credal ranking of criteria", formats=("json", "text", "dot"))
-    p.add_argument("--test", choices=(credal.BAYES_WILCOXON, credal.SIGN_TEST))
+    p.add_argument("--test", choices=_TESTS)
     p.add_argument("--mc-samples", type=int)
     p.add_argument("--prior-weight", type=float)
     p.add_argument("--prior-a", type=float)
@@ -436,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("cluster", "group the DMs by priority similarity")
     p.add_argument("--clusters", type=int, required=True)
-    p.add_argument("--distance", choices=(clustering.AITCHISON, clustering.MADC))
+    p.add_argument("--distance", choices=_DISTANCES)
     p.add_argument("--restarts", type=int)
     # Lloyd's cap, not AWGMM's: the one default that differs by subcommand
     p.add_argument("--max-iter", type=int, default=300)

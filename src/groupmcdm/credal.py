@@ -22,8 +22,10 @@ criterion pairs, so a panel makes one stream of S weight vectors from
 thus depends only on its log-ratios, the seed, S and the prior, and
 relabelling the criteria permutes the ranking exactly. Drawn in blocks of at
 most ``_DRAW_BLOCK`` elements (in the matrix form, of the draws' pairwise
-products), the stream needs no memory growing with S and gives the seeded
-output of one draw: the blocks continue it exactly.
+products; in the sorted form, a quarter as many draws), the stream needs no
+memory growing with S and gives the seeded output of one draw: the blocks
+continue it exactly. The matrix form scores every pair on each block; the
+sorted form plans a block of pairs once and replays the stream for it.
 """
 
 from __future__ import annotations
@@ -149,15 +151,17 @@ class CredalOrdering:
 
 
 #: Largest K + 1 scored by the matrix-product form: (K+1)(K+2)/2 multiply-adds
-#: per draw and pair, in BLAS. Above it the sorted form runs: a sort per pair
-#: and block of draws, bucket bounds from K + 1 = 128, then O(K) prefix sums per
-#: draw and pair they leave open. Which is faster depends on the pair count too,
-#: as the matrix form builds its products once per block for all pairs and fills
-#: its GEMMs with up to _PAIR_TILE pairs: at S = 2000 on one BLAS thread the
-#: sorted form wins from K + 1 = 40 with 3 pairs, and near 96 with 45 and 435.
+#: per draw and pair, in BLAS. Above it the sorted form runs: a sort per pair,
+#: bucket bounds from K + 1 = 128, then O(K) prefix sums per draw and pair they
+#: leave open. Which is faster depends on the pair count too, as the matrix form
+#: builds its products once per block for all pairs and fills its GEMMs with up
+#: to _PAIR_TILE pairs: at S = 2000 on one BLAS thread the sorted form wins from
+#: K + 1 = 40 with 3 pairs and near 96 with 45, while with 435 the matrix form is
+#: still 1.2 times faster at 96.
 _MATRIX_FORM_MAX = 48
 #: Elements per block of the S Dirichlet draws, or in the matrix form of
-#: their products, so memory does not grow with S.
+#: their products, so memory does not grow with S. The sorted form takes a
+#: quarter: it holds a block twice, as drawn and transposed, beside its masses.
 _DRAW_BLOCK = 1 << 17
 #: Pairs per sign tile of the matrix form: enough columns for an efficient GEMM.
 _PAIR_TILE = 128
@@ -166,12 +170,10 @@ _upper = cache(np.triu_indices)
 
 
 def _walsh_weights(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """What ``_walsh_wins`` scores draws g (S, m) on: g itself in the sorted
-    form; in the matrix form the (m(m+1)/2, S) products g_a g_b, a <= b, rows
-    in np.triu_indices(m) order, written into the flat ``out`` if given."""
+    """What the matrix form of ``_walsh_wins`` scores draws g (S, m) on: the
+    (m(m+1)/2, S) products g_a g_b, a <= b, rows in np.triu_indices(m) order,
+    written into the flat ``out`` if given."""
     S, m = g.shape
-    if m > _MATRIX_FORM_MAX:
-        return g
     size = m * (m + 1) // 2 * S
     w = (np.empty(size) if out is None else out[:size]).reshape(-1, S)
     gt, k = g.T.copy(), 0
@@ -182,22 +184,28 @@ def _walsh_weights(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _bucket_bounds(M: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple:
-    """Per row of bucket masses M: twice the Walsh stat's sure part, and the mass straddling 0."""
-    prefix = np.zeros((len(M), M.shape[1] + 1))
+    """For bucket masses M (pairs, B, draws) and bucket indices up, down (pairs, B):
+    twice the Walsh stat's sure part, and the mass straddling 0, per pair and draw."""
+    prefix = np.zeros((M.shape[0], M.shape[1] + 1, M.shape[2]))
     np.cumsum(M, axis=1, out=prefix[:, 1:])
-    at_up, at_down = prefix.take(up, axis=1), prefix.take(down, axis=1)
-    return (np.einsum("sb,sb->s", M, prefix[:, -1:] - at_up - at_down),
-            np.einsum("sb,sb->s", M, at_up - at_down))
+    # whole rows of the flat prefix sums, B + 1 per pair
+    at_up, at_down = prefix.reshape(-1, M.shape[2]).take(
+        np.stack((up, down)) + prefix.shape[1] * np.arange(len(M))[:, None], axis=0)
+    return (np.einsum("pbr,pbr->pr", M, prefix[:, -1:] - at_up - at_down),
+            np.einsum("pbr,pbr->pr", M, at_up - at_down))
 
 
-def _walsh_wins(V: np.ndarray, w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _walsh_wins(V: np.ndarray, w, work: np.ndarray | None = None) -> np.ndarray:
     """Draws with stat > 0, plus half those with stat = 0, per column of V.
 
     V (K+1, pairs) holds each pair's log-ratios below the pseudo-observation
-    0; w = _walsh_weights(g) for draws g (S, K+1). stat = sum_{a<=b} g_a g_b
-    sign(v_a + v_b). The matrix form signs all pairs at once and scores them
-    in one product with w, in ``work``: (2, max(m(m+1)/2, S) * pairs) scratch
-    that calls share, as fresh megabyte temporaries would fault pages in anew.
+    0; w = _walsh_weights(g) for draws g (S, K+1) in the matrix form, and in
+    the sorted form any iterable of blocks of draws g.
+    stat = sum_{a<=b} g_a g_b sign(v_a + v_b).
+    The matrix form signs all pairs at once and scores them in one product
+    with w, in ``work``: (2, max(m(m+1)/2, S) * pairs) scratch that calls
+    share, as fresh megabyte temporaries would fault pages in anew. The
+    sorted form plans each pair once, then scores every block on the plans.
     Counting exact zeros as one half maps all-equal data to S/2, makes the
     counts of V and -V sum to exactly S, and makes counts add exactly over
     blocks of draws.
@@ -214,50 +222,79 @@ def _walsh_wins(V: np.ndarray, w: np.ndarray, work: np.ndarray | None = None) ->
         stat = np.matmul(signs.T, w, out=one[:c * S].reshape(c, S))
         # (stat > 0) + (stat = 0) / 2 = (1 + sign(stat)) / 2, summed exactly
         return 0.5 * (S + np.sign(stat, out=two[:c * S].reshape(c, S)).sum(axis=1))
-    g, wins, step = w, np.zeros(c), block_width(m)
+    wins, B = np.zeros(c), min(m, 32)
     # Bounds decide most draws first. Cut sorted v into B <= 32 equal-count
     # buckets [lo_I, hi_I] of g-mass M_I: bucket I meets buckets J >= up_I
     # (lo_I + lo_J > 0) and J < down_I (hi_I + hi_J < 0) at a known sign, the
     # rest at most at their mass, and a = b adds at most g_a^2. For rows of g
     # summing to 1 and u = eps / 2, the prefix-sum stat is off by at most
-    # (5m + 6)u and the bounds by (9m + 8B + 20)u: past 64 m eps, signs agree.
-    first = np.arange(min(m, 32)) * m // min(m, 32)  # B <= m bucket starts, increasing
-    for p, v in enumerate(V.T):
+    # (5m + 6)u. A sum of k terms is off by at most (k - 1)u times their
+    # magnitudes in whatever order it adds, so with at most L = ceil(m / B)
+    # DMs per bucket the bounds are off by at most (m + 7L + 7B)u
+    # <= (9m + 8B + 20)u: past 64 m eps, signs agree.
+    first = np.arange(B) * m // B  # B <= m bucket starts, increasing
+    size = np.diff(first, append=m)
+    # a bucket's members fill the first of its ceil(m / B) slots, the rest a zero row
+    fill = np.arange(-(-m // B)) < size[:, None]
+    plans, pads, ends = [], [], []
+    for v in V.T:
         order = np.argsort(v, kind="stable")
         ordered = v[order]
-        lo, hi = ordered[first], ordered[np.append(first[1:], m) - 1]
+        lo, hi = ordered[first], ordered[first + size - 1]
         up, down = np.searchsorted(lo, -lo, side="right"), np.searchsorted(hi, -hi, side="left")
-        (certain, spread), rows = _bucket_bounds(np.diff(first, append=m)[None] / m, up, down), g
+        certain, spread = _bucket_bounds((size / m)[None, :, None], up[None], down[None])
         # bounds pay with buckets of 4 DMs or more (with 2, at K + 1 = 64, summing the
         # masses cost as much as the prefix sums) that decide the draw of equal weights
-        if m >= 4 * 32 and abs(certain[0]) > spread[0]:
-            # masses a chunk of draws at a time, as the prefix sums: small temporaries
-            certain, spread = _bucket_bounds(np.concatenate([np.add.reduceat(np.take(
-                g[s:s + step], order, axis=1), first, axis=1) for s in range(0, len(g), step)]),
-                up, down)
-            spread += np.einsum("sa,sa->s", g, g) + 64 * m * np.finfo(float).eps
-            wins[p] += np.count_nonzero(certain > spread)
-            rows = g[np.abs(certain) <= spread]
-            if not len(rows):
-                continue
-        # twice stat: each a weighs the g-mass above -v_a minus the mass below
-        # it, read off prefix sums of g in ascending order of v; the keys -v in
-        # ascending order search fastest, scattered back through order
+        bounded = m >= 4 * 32 and abs(certain.item()) > spread.item()
+        if bounded:
+            pad = np.full(fill.shape, m)
+            pad[fill] = order
+            pads.append(pad.T.ravel())  # slot-major: sums run over whole rows
+            ends.append((up, down))
         below, upto = np.empty((2, m), dtype=np.intp)
         below[order[::-1]] = np.searchsorted(ordered, -ordered[::-1], side="left")
         upto[order[::-1]] = np.searchsorted(ordered, -ordered[::-1], side="right")
-        sv = np.sign(v)
-        for s in range(0, len(rows), step):
-            chunk = rows[s:s + step]
-            prefix = np.zeros((chunk.shape[0], m + 1))
-            np.cumsum(np.take(chunk, order, axis=1), axis=1, out=prefix[:, 1:])
-            # in place, in the order of total - upto - below + chunk * sv
-            mass = prefix.take(upto, axis=1)
-            np.subtract(prefix[:, -1:], mass, out=mass)
-            mass -= prefix.take(below, axis=1)
-            mass += chunk * sv
-            stat = np.einsum("sa,sa->s", chunk, mass)
-            wins[p] += (stat > 0).sum() + 0.5 * (stat == 0).sum()
+        plans.append(((order, below, upto, np.sign(v)), len(pads) - 1 if bounded else None))
+    pads, ends = np.array(pads), np.array(ends)
+    for g in w:
+        if len(pads):
+            # masses of all bounded pairs from whole rows of the block transposed
+            gt = np.zeros((m + 1, len(g)))
+            gt[:m] = g.T
+            M = np.empty((len(pads), B * len(g)))
+            for pad, into in zip(pads, M):
+                gt.take(pad, axis=0).reshape(-1, B * len(g)).sum(axis=0, out=into)
+            del gt
+            certain, spread = _bucket_bounds(M.reshape(-1, B, len(g)), ends[:, 0], ends[:, 1])
+            spread += np.einsum("sa,sa->s", g, g) + 64 * m * np.finfo(float).eps
+        for p, (plan, k) in enumerate(plans):
+            if k is None:
+                wins[p] += _prefix_wins(g, *plan)
+            else:
+                wins[p] += np.count_nonzero(certain[k] > spread[k]) + _prefix_wins(
+                    g[np.abs(certain[k]) <= spread[k]], *plan)
+        del g  # freed before the next block is drawn
+    return wins
+
+
+def _prefix_wins(rows: np.ndarray, order, below, upto, sign) -> float:
+    """``_walsh_wins`` of draws ``rows`` on one pair, exactly: twice stat, as
+    each a weighs the g-mass above -v_a minus the mass below it, read off
+    prefix sums of g in ``order``, the ascending order of v, at ``upto`` and
+    ``below``, the count of v at most and below -v_a; ``sign`` is sign(v)."""
+    wins, m = 0.0, len(order)
+    step = block_width(m)
+    for s in range(0, len(rows), step):
+        chunk = rows[s:s + step]
+        prefix = np.zeros((chunk.shape[0], m + 1))
+        np.cumsum(np.take(chunk, order, axis=1), axis=1, out=prefix[:, 1:])
+        # in place, in the order of total - upto - below + chunk * sign
+        mass = prefix.take(upto, axis=1)
+        np.subtract(prefix[:, -1:], mass, out=mass)
+        mass -= prefix.take(below, axis=1)
+        mass += chunk * sign
+        stat = np.einsum("sa,sa->s", chunk, mass)
+        wins += (stat > 0).sum() + 0.5 * (stat == 0).sum()
     return wins
 
 
@@ -279,21 +316,32 @@ def _bayes_posteriors(values: np.ndarray, mc_samples: int, seed,
         raise InsufficientSamples("the Bayesian signed-rank test needs K >= 2")
     _check_knobs(mc_samples=mc_samples, seed=seed, prior_weight=prior_weight)
     alpha = np.concatenate(([prior_weight], np.ones(K)))
-    rng = np.random.default_rng(seed)
+    start = np.random.SeedSequence(seed)  # drawn once, also for seed=None
+
+    def draws(rows):
+        """The one stream of S draws, from its start, in blocks of ``rows``."""
+        rng = np.random.default_rng(start)
+        for s in range(0, mc_samples, rows):
+            yield rng.dirichlet(alpha, size=min(rows, mc_samples - s))
+
     m, P = K + 1, (K + 1) * (K + 2) // 2
     # a zero first row heads each block with the pseudo-observation 0
     x = np.vstack((np.zeros(values.shape[1]), np.log(values)))
     if m > _MATRIX_FORM_MAX:
-        rows, width, block, work = max(1, _DRAW_BLOCK // m), block_width(P), None, None
-    else:
-        # each block's products are made once and every pair tile is scored on
-        # them; the products and one tile's stats each fit in _DRAW_BLOCK
-        width = min(_PAIR_TILE, values.shape[1] * (values.shape[1] - 1) // 2)
-        rows = max(1, min(mc_samples, _DRAW_BLOCK // max(P, _PAIR_TILE)))
-        block, work = np.empty(P * rows), np.empty((2, max(P, rows) * width))
+        # each pair block, whose plans take about 5 PAIR_BLOCK elements, is
+        # planned once and scores the whole stream, replayed from its seed
+        rows = max(1, _DRAW_BLOCK // (4 * m))
+        return pair_statistic(x, lambda V, _: _walsh_wins(V, draws(rows)),
+                              block_width(m)) / mc_samples
+    # each block's products are made once and every pair tile is scored on
+    # them; the products and one tile's stats each fit in _DRAW_BLOCK
+    width = min(_PAIR_TILE, values.shape[1] * (values.shape[1] - 1) // 2)
+    rows = max(1, min(mc_samples, _DRAW_BLOCK // max(P, _PAIR_TILE)))
+    block, work = np.empty(P * rows), np.empty((2, max(P, rows) * width))
     wins = 0.0
-    for s in range(0, mc_samples, rows):
-        w = _walsh_weights(rng.dirichlet(alpha, size=min(rows, mc_samples - s)), block)
+    for g in draws(rows):
+        w = _walsh_weights(g, block)
+        del g  # freed before the next block is drawn
         wins += pair_statistic(x, lambda V, _: _walsh_wins(V, w, work), width)
     return wins / mc_samples
 

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupmcdm import aggregation, clustering, credal
+import groupmcdm
+from groupmcdm import aggregation, cli, clustering, credal
 from groupmcdm.cli import (
     COMMANDS,
     Report,
@@ -797,6 +798,47 @@ def test_import_does_not_load_scipy(example_csv):
         check=True,
     )
     assert result.stdout.strip() == "[0, 0, 0, 0] []"
+
+
+@pytest.mark.parametrize("argv, runs, unloaded", [
+    (["rank", "--seed", "1", "--mc-samples", "1000"], "credal",
+     {"aggregation", "clustering", "dispersion"}),
+    (["aggregate", "--method", "awgmm"], "aggregation", {"credal", "clustering"}),
+])
+def test_command_loads_only_its_modules(example_csv, argv, runs, unloaded):
+    # the package and the parser import no estimator module, each command its own:
+    # every start compiles what it imports when no bytecode cache is written
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import contextlib, io, json, sys, groupmcdm\n"
+        "from groupmcdm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main([*{argv!r}, '--input', {example_csv!r}])\n"
+        "print(json.dumps([code, [m.split('.')[1] for m in sys.modules if m.startswith('groupmcdm.')]]))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), check=True)
+    code, loaded = json.loads(result.stdout)
+    assert code == 0 and runs in loaded
+    assert unloaded.isdisjoint(loaded), loaded
+
+
+def test_option_names_are_the_library_names():
+    # the CLI keeps copies, so that parsing argv imports no estimator module
+    assert cli._METHODS == (aggregation.AMM, aggregation.GMM, aggregation.AWGMM)
+    assert cli._TESTS == (credal.BAYES_WILCOXON, credal.SIGN_TEST)
+    assert cli._DISTANCES == (clustering.AITCHISON, clustering.MADC)
+    assert (RunConfig.method, RunConfig.test, RunConfig.distance) == (
+        aggregation.GMM, credal.BAYES_WILCOXON, clustering.AITCHISON)
+
+
+def test_package_names_load_on_first_use():
+    for name in groupmcdm.__all__:
+        assert getattr(groupmcdm, name) is not None, name
+    assert groupmcdm.credal_ranking is credal.credal_ranking
+    assert groupmcdm.credal is credal
+    with pytest.raises(AttributeError):
+        groupmcdm.not_a_name
 
 
 # two DMs whose first weight is subnormal: every readout must shift before exp

@@ -304,6 +304,12 @@ def sign_sum_posterior(V, g):
     return np.array(out)
 
 
+def walsh_weights(g):
+    """What ``_walsh_wins`` scores draws g on: their products in the matrix
+    form, the one block g in the sorted form."""
+    return credal._walsh_weights(g) if g.shape[1] <= credal._MATRIX_FORM_MAX else [g]
+
+
 def tied_log_ratios(rng, n_dms, n_pairs):
     """(K+1, pairs) augmented log-ratios with zeros and exact v_a = -v_b ties."""
     V = np.zeros((n_dms + 1, n_pairs))
@@ -358,7 +364,7 @@ class TestWalshKernel:
         V = tied_log_ratios(rng, n_dms, 5)
         g = rng.dirichlet(np.r_[0.7, np.ones(n_dms)], size=1000)
         np.testing.assert_array_equal(
-            credal._walsh_wins(V, credal._walsh_weights(g)) / len(g), sign_sum_posterior(V, g)
+            credal._walsh_wins(V, walsh_weights(g)) / len(g), sign_sum_posterior(V, g)
         )
 
     @pytest.mark.parametrize("n_dms", [2, 5, 30, 70])
@@ -369,7 +375,7 @@ class TestWalshKernel:
         forms = []
         for largest in (n_dms + 1, 0):  # matrix-product form, then sorted form
             monkeypatch.setattr(credal, "_MATRIX_FORM_MAX", largest)
-            forms.append(credal._walsh_wins(V, credal._walsh_weights(g)) / len(g))
+            forms.append(credal._walsh_wins(V, walsh_weights(g)) / len(g))
         np.testing.assert_array_equal(forms[0], forms[1])
 
     @settings(max_examples=60, deadline=None)
@@ -383,7 +389,7 @@ class TestWalshKernel:
         g = rng.dirichlet(np.r_[prior_weight, np.ones(m - 1)], size=300)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(credal, "_MATRIX_FORM_MAX", 0)  # the sorted form at every m
-            wins = credal._walsh_wins(V, credal._walsh_weights(g))
+            wins = credal._walsh_wins(V, walsh_weights(g))
         np.testing.assert_array_equal(wins / len(g), sign_sum_posterior(V, g))
 
     @settings(max_examples=60, deadline=None)
@@ -399,7 +405,7 @@ class TestWalshKernel:
         lo, hi = v[order][first], v[order][np.r_[first[1:], m] - 1]
         up, down = np.searchsorted(lo, -lo, side="right"), np.searchsorted(hi, -hi, side="left")
         M = np.add.reduceat(g[:, order], first, axis=1)
-        certain, straddle = credal._bucket_bounds(M, up, down)
+        (certain,), (straddle,) = credal._bucket_bounds(M.T[None], up[None], down[None])
         twice = (np.einsum("sa,ab,sb->s", g, np.sign(v[:, None] + v), g)
                  + (g * g * np.sign(v)).sum(axis=1))
         assert np.all(np.abs(twice - certain) <= straddle + (g * g).sum(axis=1) + 1e-12)
@@ -413,15 +419,23 @@ class TestWalshKernel:
     def test_all_zero_pair_takes_the_prefix_sums(self, monkeypatch):
         g = np.random.default_rng(102).dirichlet(np.ones(1001), size=200)
         rows = prefix_sum_rows(monkeypatch)
-        assert credal._walsh_wins(np.zeros((1001, 1)), g)[0] == 100.0
+        assert credal._walsh_wins(np.zeros((1001, 1)), walsh_weights(g))[0] == 100.0
         assert sum(rows) == 200
+
+    def test_sorted_form_sorts_each_pair_once(self, monkeypatch):
+        # one plan per pair serves every block of draws: 32 blocks at S = 1000
+        calls, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        credal_ranking(three_group_panel(np.random.default_rng(103), 1000, 6), seed=2,
+                       mc_samples=1000)
+        assert len(calls) == 15
 
     def test_mirror_is_exact_complement(self):
         rng = np.random.default_rng(90)
         for n_dms in (4, 200):
             V = tied_log_ratios(rng, n_dms, 20)
             g = rng.dirichlet(np.ones(n_dms + 1), size=1000)
-            w = credal._walsh_weights(g)
+            w = walsh_weights(g)
             p = credal._walsh_wins(V, w) / len(g)
             q = credal._walsh_wins(-V, w) / len(g)
             assert np.all(p + q == 1.0)
@@ -444,11 +458,11 @@ class TestWalshKernel:
 def draw_elements(n_dms):
     """Elements one draw takes in a block: in the matrix form its (K+1)(K+2)/2
     pairwise products, or its stats over a pair tile if more; in the sorted
-    form its K+1 weights."""
+    form its K+1 weights, held drawn and transposed, in a quarter block."""
     m = n_dms + 1
     if m <= credal._MATRIX_FORM_MAX:
         return max(m * (m + 1) // 2, credal._PAIR_TILE)
-    return m
+    return 4 * m
 
 
 def tied_matrix(rng, n_dms, n_criteria):
@@ -502,6 +516,25 @@ class TestDrawChunks:
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < 4e6
 
+    @pytest.mark.parametrize("make", [three_group_panel, tied_matrix])
+    def test_blocks_of_the_stream_score_as_one_draw(self, make):
+        # K + 1 = 150 > 128: bounds run; 1000 draws are 4 blocks of 218 and one of 128
+        W = make(np.random.default_rng(104), 149, 4)
+        rows = credal._DRAW_BLOCK // (4 * 150)
+        assert 1000 // rows >= 3 and 1000 % rows
+        x = np.vstack((np.zeros(4), np.log(W.values)))
+        i, j = np.triu_indices(4, k=1)
+        g = np.random.default_rng(9).dirichlet(np.r_[0.5, np.ones(149)], size=1000)
+        ranking = credal_ranking(W, seed=9, mc_samples=1000, prior_weight=0.5)
+        np.testing.assert_array_equal([o.p_greater for o in ranking.orderings],
+                                      sign_sum_posterior(x[:, i] - x[:, j], g))
+
+    def test_sorted_form_peak_memory(self):
+        # K + 1 = 1001: pair plans, one block of draws and its transpose
+        W = three_group_panel(np.random.default_rng(101), 1000, 6)
+        for mc_samples in (1000, 10_000):
+            assert traced_peak(W, mc_samples) <= 2.15e6
+
     def test_matrix_form_memory_is_flat_in_draws_and_pairs(self):
         # K + 1 = 31: one block of products and one pair tile, whatever S and n
         rng = np.random.default_rng(97)
@@ -542,9 +575,10 @@ class TestSharedStream:
         for n_dms, n in ((5, 4), (80, 5)):  # the matrix form, the sorted form
             W = random_matrix(rng, n_dms, n)
             for width in WIDTHS:
-                # pairs per tile of the matrix form, per pair block of the sorted form
+                # pairs per tile of the matrix form, per pair block of the sorted
+                # form, which plans K + 1 elements per pair
                 monkeypatch.setattr(credal, "_PAIR_TILE", width or default_tile)
-                pair_block(width, (n_dms + 1) * (n_dms + 2) // 2)
+                pair_block(width, n_dms + 1)
                 ranking = credal_ranking(W, seed=17, mc_samples=1000)
                 for i in range(n):
                     for j in range(n):
