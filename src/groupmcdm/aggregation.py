@@ -27,6 +27,7 @@ from .composition import (
     Composition,
     PriorityMatrix,
     _floats,
+    _median,
     clr,
     expand_log_ratios,
     inverse_log_ratio,
@@ -138,7 +139,7 @@ def build_average_array(
         dm_weights = _dm_weights(W, dm_weights)
     if estimator == MEDIAN:
         return expand_log_ratios(
-            pair_statistic(np.log(W.values), lambda d, _: np.median(d, axis=0)))
+            pair_statistic(np.log(W.values), lambda d, _: _median(d)))
     if estimator == MEAN:
         g = clr(W.values).mean(axis=0)
     elif dm_weights is None:

@@ -166,9 +166,9 @@ class Report:
     warnings: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        # the held dicts are plain data already: no copy before dumping
+        # plain data already, no copy; compact, since CPython's C encoder serves no indent
         plain = {"config": self.config, "results": self.results, "warnings": self.warnings}
-        return json.dumps(plain, sort_keys=True, indent=2) + "\n"
+        return json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
 
     def to_text(self) -> str:
         lines = [f"command: {self.config['command']}"]

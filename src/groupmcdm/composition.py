@@ -259,6 +259,16 @@ def pair_statistic(x: np.ndarray, stat, width: int | None = None) -> np.ndarray:
     return out
 
 
+def _median(d: np.ndarray) -> np.ndarray:
+    """``np.median(d, axis=0)`` bit for bit, for (K, m) ``d`` holding no NaN, as
+    logs of validated positive weights hold none: the same partition and mean
+    of the middle row or rows, without np.median's NaN check, which imports
+    ``numpy.ma``."""
+    h = d.shape[0] // 2
+    middle = [h] if d.shape[0] % 2 else [h - 1, h]
+    return np.partition(d, middle, axis=0)[middle].mean(axis=0)
+
+
 def pair_differences(x: np.ndarray) -> np.ndarray:
     """Map (..., n) log-space coordinates to (..., n(n-1)/2) differences.
 

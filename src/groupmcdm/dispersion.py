@@ -22,8 +22,8 @@ from .aggregation import (
     aggregate_awgmm,
     build_average_array,
 )
-from .composition import (PriorityMatrix, clr, expand_log_ratios, pair_differences,
-                          pair_statistic)
+from .composition import (PriorityMatrix, _median, clr, expand_log_ratios,
+                          pair_differences, pair_statistic)
 from .errors import InsufficientSamples, _check_choice
 
 AD_MEAN = "mean"
@@ -60,8 +60,7 @@ def deviation_array_std(W: PriorityMatrix) -> np.ndarray:
 
 def deviation_array_mad(W: PriorityMatrix) -> np.ndarray:
     """Median absolute deviation about the median, no consistency constant."""
-    return _deviation_array(
-        W, lambda d, _: np.median(np.abs(d - np.median(d, axis=0)), axis=0))
+    return _deviation_array(W, lambda d, _: _median(np.abs(d - _median(d))))
 
 
 def deviation_array_robust(W: PriorityMatrix, dm_weights) -> np.ndarray:

@@ -584,11 +584,14 @@ class TestExitCodesAndDeterminism:
     ],
 )
 def test_json_layout_matches_dataclass_dump(argv, example_csv):
-    # the dump of the whole dataclass is the layout the JSON has always had
+    # the compact dump of the whole dataclass, on one line: the C encoder's layout
     args = _build_parser().parse_args([*argv, "--input", example_csv])
     report = report_of(_config_from_args(args))
-    expected = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
-    assert report.to_json() == expected
+    expected = json.dumps(dataclasses.asdict(report), sort_keys=True,
+                          separators=(",", ":")) + "\n"
+    out = report.to_json()
+    assert out == expected
+    assert out.endswith("\n") and out.count("\n") == 1
 
 
 ZEROS = "a,b,c\n0,0.5,0.5\n0.2,0.3,0.5\n0.4,0.4,0.2\n"
@@ -804,23 +807,32 @@ def test_import_does_not_load_scipy(example_csv):
     (["rank", "--seed", "1", "--mc-samples", "1000"], "credal",
      {"aggregation", "clustering", "dispersion"}),
     (["aggregate", "--method", "awgmm"], "aggregation", {"credal", "clustering"}),
+    (["aggregate", "--method", "amm"], "aggregation", {"credal", "clustering"}),
+    (["aggregate", "--method", "gmm"], "aggregation", {"credal", "clustering"}),
+    (["describe"], "dispersion", {"credal", "clustering"}),
+    (["cluster", "--clusters", "2", "--seed", "1", "--distance", "madc", "--with-baseline"],
+     "clustering", {"aggregation", "credal", "dispersion"}),
 ])
 def test_command_loads_only_its_modules(example_csv, argv, runs, unloaded):
     # the package and the parser import no estimator module, each command its own:
-    # every start compiles what it imports when no bytecode cache is written
+    # every start compiles what it imports when no bytecode cache is written.
+    # None loads numpy.ma (about 10 ms), which np.median's NaN check imports;
+    # only `rank --test sign` does, through scipy.
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         "import contextlib, io, json, sys, groupmcdm\n"
         "from groupmcdm.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main([*{argv!r}, '--input', {example_csv!r}])\n"
-        "print(json.dumps([code, [m.split('.')[1] for m in sys.modules if m.startswith('groupmcdm.')]]))"
+        "print(json.dumps([code, [m.split('.')[1] for m in sys.modules if m.startswith('groupmcdm.')],\n"
+        "                  [m for m in sys.modules if m.startswith('numpy.')]]))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src), check=True)
-    code, loaded = json.loads(result.stdout)
+    code, loaded, numpy_loaded = json.loads(result.stdout)
     assert code == 0 and runs in loaded
     assert unloaded.isdisjoint(loaded), loaded
+    assert "numpy.ma" not in numpy_loaded
 
 
 def test_option_names_are_the_library_names():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from groupmcdm import (
     Composition,
@@ -24,6 +25,7 @@ from groupmcdm import (
 )
 from groupmcdm import composition
 from groupmcdm.composition import (
+    _median,
     closed_exp,
     clr,
     consistency_violation,
@@ -564,6 +566,28 @@ class TestPairStatistic:
                 pair_block(width, per_pair)
                 posteriors.append([o.p_greater for o in rank().orderings])
             assert posteriors[1] == posteriors[0] and posteriors[2] == posteriors[0], name
+
+
+# ties, signed zeros, subnormals and magnitudes whose even-K mean overflows
+MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                     1e300, -1e300, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestMedian:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 24), st.integers(1, 6)),
+                  elements=MEDIAN_VALUES))
+    @example(np.array([[-0.0, 0.0, 7.0]]))
+    @example(np.array([[-0.0, -5e-324, 1e300], [-0.0, 0.0, 1.7e308]]))
+    @example(np.array([[-0.0], [-0.0], [0.0], [-0.0]]))
+    @settings(max_examples=500, deadline=None)
+    def test_is_numpy_median_bit_for_bit(self, d):
+        with np.errstate(over="ignore"):
+            assert _median(d).tobytes() == np.median(d, axis=0).tobytes()
+            f = np.asfortranarray(d)
+            assert _median(f).tobytes() == np.median(f, axis=0).tobytes()
 
 
 class TestClosureAtTheFloatingPointLimits:
