@@ -53,24 +53,19 @@ DEGENERATE_SIGMA2 = 1e-300
 class AwgmmOptions:
     """Knobs for the half-quadratic iteration.
 
-    ``sigma_denominator`` overrides the denominator of the scale update
-    sigma^2 = sum_k ||What_k - wg||^2 / denominator (default n^2 with n the
-    number of criteria). ``force_identity_estimator`` replaces the Welsch
-    kernel by the identity, the Welsch kernel at an infinite scale, which
-    collapses the method onto the plain geometric mean and is useful for
-    cross-checks. ``tol`` and ``sigma_denominator`` must be positive and finite.
+    ``force_identity_estimator`` replaces the Welsch kernel by the identity,
+    the Welsch kernel at an infinite scale, which collapses the method onto
+    the plain geometric mean and is useful for cross-checks. ``tol`` must be
+    positive and finite.
     """
 
     max_iter: int = 500
     tol: float = 1e-10
-    sigma_denominator: float | None = None
     force_identity_estimator: bool = False
 
     def __post_init__(self):
         _check_integer(self.max_iter, "max_iter", 1)
         _check_positive(self.tol, "tol")
-        if self.sigma_denominator is not None:
-            _check_positive(self.sigma_denominator, "sigma_denominator")
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,15 +179,13 @@ def aggregate_awgmm(
     if not isinstance(opts, AwgmmOptions):
         raise InputError(f"opts must be AwgmmOptions or None, got {opts!r}")
     K, n = W.n_dms, W.n_criteria
-    # in Python floats a tiny denominator overflows sigma^2 to inf with no warning
-    denom = float(opts.sigma_denominator if opts.sigma_denominator is not None else n * n)
 
     # on clr, n * ||x - g||^2 is the squared pairwise log-ratio distance
     what = clr(W.values)
     wg = what.mean(axis=0)
     # one residual array per iterate: it gives both the scale and the distances
     sq = (what - wg) ** 2
-    sigma2 = n * float(sq.sum()) / denom
+    sigma2 = n * float(sq.sum()) / (n * n)
     trace = [sigma2]
     lam = np.full(K, 1.0 / K)
     converged = False
@@ -213,7 +206,7 @@ def aggregate_awgmm(
         lam = alpha / alpha.sum()
         wg_new = lam @ what
         sq = (what - wg_new) ** 2
-        sigma2 = n * float(sq.sum()) / denom
+        sigma2 = n * float(sq.sum()) / (n * n)
         trace.append(sigma2)
         # the largest change of any pairwise log-ratio
         delta = float(np.ptp(wg_new - wg))

@@ -127,7 +127,6 @@ class RunConfig:
     method: str = _METHODS[1]
     max_iter: int = 500
     tol: float = 1e-10
-    sigma_denominator: float | None = None
     deviant_threshold: float = DEVIANT_THRESHOLD
     # rank
     test: str = _TESTS[0]
@@ -193,7 +192,7 @@ class Report:
 def _awgmm_options(config: RunConfig):
     """The AWGMM knobs of ``config``, for `aggregate` and `describe` alike."""
     from . import aggregation
-    return aggregation.AwgmmOptions(config.max_iter, config.tol, config.sigma_denominator)
+    return aggregation.AwgmmOptions(config.max_iter, config.tol)
 
 
 def cmd_aggregate(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
@@ -431,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=_METHODS)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--sigma-denominator", type=float)
     p.add_argument("--deviant-threshold", type=float)
 
     add_parser("describe", "average-deviation arrays (mean, median, robust)")

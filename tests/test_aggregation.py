@@ -306,29 +306,35 @@ class TestAwgmm:
             AwgmmOptions(max_iter=2.5)
         with pytest.raises(InputError):
             AwgmmOptions(tol=0.0)
-        with pytest.raises(InputError):
-            AwgmmOptions(sigma_denominator=-1.0)
 
-    @pytest.mark.parametrize("knob", ["tol", "sigma_denominator"])
-    def test_infinite_knob_rejected(self, knob):
-        # tol=inf once stopped after one iteration; sigma_denominator=inf
-        # reported uniform DM weights as converged
-        with pytest.raises(InputError, match=f"{knob} must be positive and finite"):
-            AwgmmOptions(**{knob: math.inf})
+    def test_infinite_tol_rejected(self):
+        # tol=inf once stopped after one iteration
+        with pytest.raises(InputError, match="tol must be positive and finite"):
+            AwgmmOptions(tol=math.inf)
 
-    def test_subnormal_sigma_denominator_is_the_identity_estimator(self, example_matrix):
-        # sigma^2 = n S / 5e-324 overflows to inf, the Welsch kernel's scale
-        # under the identity estimator; it once warned of the overflow
-        tiny = aggregate_awgmm(example_matrix, AwgmmOptions(sigma_denominator=5e-324))
-        identity = aggregate_awgmm(example_matrix, AwgmmOptions(force_identity_estimator=True))
-        assert tiny.sigma_trace[0] == math.inf
-        np.testing.assert_array_equal(tiny.dm_weights, identity.dm_weights)
-        np.testing.assert_array_equal(tiny.weights.parts, identity.weights.parts)
+    def test_scale_is_the_sum_of_distances_over_n_squared(self):
+        # sigma^2 = sum_k d_k / n^2 with d_k = n ||clr(W_k) - g||^2, at the
+        # geometric-mean start and at the returned point, where the DM weights
+        # are the Welsch kernel's softmax(-d / sigma^2) to within the tolerance
+        rng = np.random.default_rng(28)
 
-    def test_sigma_denominator_option_changes_weighting(self, example_matrix):
-        default = aggregate_awgmm(example_matrix)
-        wide = aggregate_awgmm(example_matrix, AwgmmOptions(sigma_denominator=80.0))
-        assert not np.allclose(default.dm_weights, wide.dm_weights, atol=1e-3)
+        def distances(logs, g):
+            clr = logs - logs.mean(axis=1, keepdims=True)
+            return logs.shape[1] * ((clr - g) ** 2).sum(axis=1)
+
+        for _ in range(200):
+            K, n = int(rng.integers(2, 61)), int(rng.integers(2, 13))
+            values = rng.dirichlet(np.full(n, 10 ** rng.uniform(-0.5, 1.5)), size=K)
+            result = aggregate_awgmm(PriorityMatrix(values))
+            assert result.converged
+            logs = np.log(values)
+            start = distances(logs, (logs - logs.mean(axis=1, keepdims=True)).mean(axis=0))
+            assert result.sigma_trace[0] == pytest.approx(start.sum() / n**2, rel=1e-12)
+            out = np.log(result.weights.parts)
+            d = distances(logs, out - out.mean())
+            assert result.sigma_trace[-1] == pytest.approx(d.sum() / n**2, rel=1e-12)
+            alpha = np.exp(-(d - d.min()) / result.sigma_trace[-1])
+            np.testing.assert_allclose(result.dm_weights, alpha / alpha.sum(), rtol=0, atol=1e-8)
 
 
 class TestPareto:

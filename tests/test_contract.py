@@ -64,7 +64,7 @@ HALF = [0.5, 0.5]
 
 #: name -> (callable, valid keyword arguments); a case overrides some of them
 CALLS = {
-    "AwgmmOptions": (AwgmmOptions, dict(max_iter=500, tol=1e-10, sigma_denominator=None)),
+    "AwgmmOptions": (AwgmmOptions, dict(max_iter=500, tol=1e-10)),
     "Composition": (Composition, dict(parts=HALF, labels=None)),
     "close": (close, dict(raw=HALF, labels=None)),
     "PriorityMatrix": (PriorityMatrix, dict(values=EXAMPLE_W, labels=None)),
@@ -133,9 +133,10 @@ def ex(name, error=InputError, **overrides):
 
 
 @given(case=cases(), error=st.just(None))
-# the roadmap's probe: 19 escapes on calls still exported (2 more were on the
-# retired PCM type), each a bare exception, a warning or a silent acceptance
-# before the one coercion and the one knob rule
+# the roadmap's probe: 18 escapes on calls still exported (2 more were on the
+# retired PCM type, 1 on the retired AWGMM scale denominator), each a bare
+# exception, a warning or a silent acceptance before the one coercion and the
+# one knob rule
 @ex("PriorityMatrix", values="abc")
 @ex("PriorityMatrix", values=[[0.5, 0.5], [0.3]])
 @ex("close", raw=[1, "a"])
@@ -143,7 +144,6 @@ def ex(name, error=InputError, **overrides):
 @ex("array_to_composition", e="ab")
 @ex("madc_distance", w="ab")
 @ex("AwgmmOptions", tol="1")
-@ex("AwgmmOptions", sigma_denominator="3")
 @ex("credal_ranking", test="bayes-wilcoxon", prior_weight="1")
 @ex("sign_test", prior_a="1")
 @ex("PriorityMatrix", values=[[0.5 + 1j, 0.5]])
@@ -173,7 +173,6 @@ def ex(name, error=InputError, **overrides):
 @ex("credal_ranking", NumericError, prior_a=1e16, prior_b=1e16)
 # integers beyond the float range, as data, as float knobs and as a pair count
 @ex("close", raw=[10**400, 1])
-@ex("AwgmmOptions", sigma_denominator=10**400)
 @ex("credal_ranking", test="sign", prior_a=10**400)
 @ex("dimension_from_pairs", DimensionMismatch, m=2**61)
 # finite log-ratios whose sums overflow: the readout warned before its error
