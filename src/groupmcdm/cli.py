@@ -29,6 +29,7 @@ from .errors import (
     NumericError,
     ParseError,
     RaggedRow,
+    _check_choice,
 )
 
 ROW_SUM_WARN_TOL = 1e-6
@@ -38,6 +39,7 @@ DEVIANT_THRESHOLD = 0.01
 # command imports its modules when it runs (tests keep each copy equal)
 _METHODS, _TESTS = ("amm", "gmm", "awgmm"), ("bayes-wilcoxon", "sign")
 _DISTANCES = ("aitchison", "madc")
+_ZERO_POLICIES, _FORMATS = ("reject", "replace"), ("json", "text", "dot")  # DOT: rank only
 
 AMM_WARNING = (
     "arithmetic-mean aggregation ignores the ratio scale of priority weights "
@@ -141,10 +143,20 @@ class RunConfig:
     with_baseline: bool = False
 
     def __post_init__(self):
+        # first: a non-positive or NaN eps is named before any other fault
+        if not self.zero_eps > 0:
+            raise InputError("zero replacement eps must be positive")
         for name, value in asdict(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 option = "zero-policy" if name == "zero_eps" else name.replace("_", "-")
                 raise InputError(f"--{option} must be a finite number, got {value}")
+        _check_choice(self.command, COMMANDS, "command")
+        formats = _FORMATS if self.command == "rank" else _FORMATS[:2]
+        _check_choice(self.output_format, formats, f"{self.command} output format")
+        _check_choice(self.zero_policy, _ZERO_POLICIES, "zero policy")
+        _check_choice(self.method, _METHODS, "aggregation method")
+        _check_choice(self.test, _TESTS, "test")
+        _check_choice(self.distance, _DISTANCES, "compositional distance")
         if not 0.0 <= self.deviant_threshold <= 1.0:
             raise InputError("--deviant-threshold must lie in [0, 1]")
         if self.seed is not None and self.seed < 0:
@@ -165,9 +177,11 @@ class Report:
     warnings: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        # plain data already, no copy; compact, since CPython's C encoder serves no indent
+        # compact, since CPython's C encoder serves no indent; arrays become lists
+        # inside it, and a NaN or infinity, which JSON lacks, raises ValueError
         plain = {"config": self.config, "results": self.results, "warnings": self.warnings}
-        return json.dumps(plain, sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(plain, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          default=np.ndarray.tolist) + "\n"
 
     def to_text(self) -> str:
         lines = [f"command: {self.config['command']}"]
@@ -203,21 +217,19 @@ def cmd_aggregate(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
         notes.append(AMM_WARNING)
     elif config.method == aggregation.GMM:
         result = aggregation.aggregate_gmm(W)
-    elif config.method == aggregation.AWGMM:
-        result = aggregation._converged(aggregation.aggregate_awgmm(W, opts))
     else:
-        raise InputError(f"unknown aggregation method {config.method!r}")
+        result = aggregation._converged(aggregation.aggregate_awgmm(W, opts))
 
     results = {
         "method": result.method,
-        "weights": {"labels": list(W.labels), "values": result.weights.parts.tolist()},
+        "weights": {"labels": list(W.labels), "values": result.weights.parts},
     }
     if result.method == aggregation.AWGMM:
         lam = result.dm_weights
         deviants = [k + 1 for k, v in enumerate(lam) if v < config.deviant_threshold]
         results.update(
             {
-                "dm_weights": lam.tolist(),
+                "dm_weights": lam,
                 "iterations": result.iterations,
                 "converged": result.converged,
                 "deviants": deviants,
@@ -236,11 +248,7 @@ def cmd_describe(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
     arrays, opts = {}, _awgmm_options(config)
     for estimator in (dispersion.AD_MEAN, dispersion.AD_MEDIAN, dispersion.AD_AWGMM):
         ad = dispersion.average_deviation_array(W, estimator, opts)
-        arrays[estimator] = {
-            "xi": ad.xi.tolist(),
-            "tau": ad.tau.tolist(),
-            "combined": ad.combined.tolist(),
-        }
+        arrays[estimator] = {"xi": ad.xi, "tau": ad.tau, "combined": ad.combined}
     return {"labels": list(W.labels), "ad_arrays": arrays}
 
 
@@ -283,9 +291,9 @@ def cmd_cluster(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
     def model_dict(model):
         return {
             "distance": model.distance,
-            "centroids": model.centroids.tolist(),
-            "centroid_sums": model.centroid_sums.tolist(),
-            "assignments": model.assignments.tolist(),
+            "centroids": model.centroids,
+            "centroid_sums": model.centroid_sums,
+            "assignments": model.assignments,
             "inertia": model.inertia,
             "iterations": model.iterations,
             "reseeded_clusters": model.n_reseeds,
@@ -318,15 +326,6 @@ def cmd_cluster(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
     if config.with_baseline:
         results["baseline"]["fallacious_baseline"] = True
     return results
-
-
-def _finite(value) -> bool:
-    """Whether every float in ``value``, a tree of dicts and lists, is finite."""
-    if isinstance(value, dict):
-        return all(map(_finite, value.values()))
-    if isinstance(value, list):
-        return all(map(_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
 
 
 def _fmt(x: float) -> str:
@@ -414,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, summary, formats=("json", "text")):
+    def add_parser(name, summary, formats=_FORMATS[:2]):
         # an omitted flag stays out of the Namespace: RunConfig's default applies
         p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         p.add_argument("--input", required=True, help="priorities CSV (header + one row per DM)")
@@ -434,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_parser("describe", "average-deviation arrays (mean, median, robust)")
 
-    p = add_parser("rank", "credal ranking of criteria", formats=("json", "text", "dot"))
+    p = add_parser("rank", "credal ranking of criteria", formats=_FORMATS)
     p.add_argument("--test", choices=_TESTS)
     p.add_argument("--mc-samples", type=int)
     p.add_argument("--prior-weight", type=float)
@@ -462,8 +461,6 @@ def _parse_zero_policy(text: str):
             eps = float(text.split(":", 1)[1])
         except ValueError:
             raise InputError(f"bad zero policy {text!r}") from None
-        if not eps > 0:
-            raise InputError("zero replacement eps must be positive")
         return "replace", eps
     raise InputError(f"bad zero policy {text!r} (use reject or replace:<eps>)")
 
@@ -492,16 +489,17 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         W, notes = load_priorities(config.input, config.zero_policy, config.zero_eps)
         results = COMMANDS[config.command](W, config, notes)
-        # one rule for every format: no NaN or infinity reaches stdout
-        if not _finite(results):
-            raise NumericError("non-finite value in the report")
         report = Report(config=asdict(config), results=results, warnings=notes)
-        if config.output_format == "json":
-            sys.stdout.write(report.to_json())
-        elif config.output_format == "dot":
-            sys.stdout.write(report.to_dot())
-        else:
-            sys.stdout.write(report.to_text())
+        # one rule for every format: the encoder lets no NaN or infinity through
+        try:
+            out = report.to_json()
+        except ValueError:
+            raise NumericError("non-finite value in the report") from None
+        if config.output_format == "dot":
+            out = report.to_dot()
+        elif config.output_format == "text":
+            out = report.to_text()
+        sys.stdout.write(out)
     except GroupMcdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 3

@@ -159,9 +159,10 @@ class CredalOrdering:
 #: K + 1 = 40 with 3 pairs and near 96 with 45, while with 435 the matrix form is
 #: still 1.2 times faster at 96.
 _MATRIX_FORM_MAX = 48
-#: Elements per block of the S Dirichlet draws, or in the matrix form of
-#: their products, so memory does not grow with S. The sorted form takes a
-#: quarter: it holds a block twice, as drawn and transposed, beside its masses.
+#: Elements per block of the S Dirichlet draws, or in the matrix form of their
+#: products, so memory does not grow with S. The sorted form takes a quarter, held
+#: as drawn and transposed. Its bucket masses lie outside this budget: 32 floats
+#: per pair and draw of a pair block, 8.4 MB at K + 1 = 128, 131 kB at K = 1000.
 _DRAW_BLOCK = 1 << 17
 #: Pairs per sign tile of the matrix form: enough columns for an efficient GEMM.
 _PAIR_TILE = 128

@@ -577,11 +577,12 @@ class TestExitCodesAndDeterminism:
     ],
 )
 def test_json_layout_matches_dataclass_dump(argv, example_csv):
-    # the compact dump of the whole dataclass, on one line: the C encoder's layout
+    # the compact dump of the whole dataclass, on one line: the C encoder's layout,
+    # into which the commands' arrays go as they are
     args = _build_parser().parse_args([*argv, "--input", example_csv])
     report = report_of(_config_from_args(args))
     expected = json.dumps(dataclasses.asdict(report), sort_keys=True,
-                          separators=(",", ":")) + "\n"
+                          separators=(",", ":"), default=np.ndarray.tolist) + "\n"
     out = report.to_json()
     assert out == expected
     assert out.endswith("\n") and out.count("\n") == 1
@@ -624,26 +625,51 @@ def test_cli_branches(tmp_path, text, argv, code, expected):
     assert (err if code == 0 else out) == ""
 
 
+def _put(holder, key, index, value):
+    """Replace ``holder[key]``, an array, by a copy holding ``value`` at ``index``:
+    the library's arrays may be read-only."""
+    array = holder[key].copy()
+    array[index] = value
+    holder[key] = array
+
+
 def _nan_in_xi(results):
-    results["ad_arrays"]["mean"]["xi"][0][1] = math.nan
+    _put(results["ad_arrays"]["mean"], "xi", (0, 1), math.nan)
 
 
 def _nan_in_combined(results):
-    results["ad_arrays"]["mean"]["combined"][0][1] = math.nan
+    _put(results["ad_arrays"]["mean"], "combined", (0, 1), math.nan)
 
 
 def _nan_in_ordering(results):
     results["orderings"][0].update(p_greater=math.nan, confidence=math.nan)
 
 
+def _nan_in_dm_weights(results):
+    _put(results, "dm_weights", 0, math.nan)
+
+
+def _inf_in_centroids(results):
+    _put(results["compositional"], "centroids", (0, 0), math.inf)
+
+
+def _inf_in_list(results):
+    results["weights"]["values"] = [-math.inf, *results["weights"]["values"][1:]]
+
+
 def test_non_finite_result_exits_3_with_nothing_on_stdout(monkeypatch, example_csv):
-    # one rule for every format, checked before any renderer runs
+    # one rule for every format, checked before any renderer runs: float, list
+    # and array leaves alike
+    commands = dict(COMMANDS)
     for argv, poison in (
         (["describe"], _nan_in_xi),
         (["describe", "--format", "text"], _nan_in_combined),
         (["rank", "--test", "sign", "--format", "dot"], _nan_in_ordering),
+        (["aggregate", "--method", "awgmm", "--format", "text"], _nan_in_dm_weights),
+        (["cluster", "--clusters", "2", "--seed", "1"], _inf_in_centroids),
+        (["aggregate", "--format", "text"], _inf_in_list),
     ):
-        command = COMMANDS[argv[0]]
+        command = commands[argv[0]]
 
         def with_nan(W, config, notes, command=command, poison=poison):
             results = command(W, config, notes)
@@ -751,15 +777,37 @@ def test_runconfig_defaults_are_the_library_defaults(example_csv):
         ({"command": "aggregate", "seed": -1}, ["aggregate", "--seed", "-1"]),
         ({"command": "rank"}, ["rank"]),
         ({"command": "cluster"}, ["cluster", "--clusters", "2"]),
+        # named before the other faults, whichever order argv gives them in
+        ({"command": "aggregate", "zero_policy": "replace", "zero_eps": -1.0, "tol": math.nan,
+          "seed": -1}, ["aggregate", "--tol", "nan", "--seed", "-1", "--zero-policy", "replace:-1"]),
     ],
     ids=["nan-float", "inf-float", "threshold-range", "negative-seed", "rank-seed",
-         "cluster-seed"],
+         "cluster-seed", "zero-eps-first"],
 )
 def test_config_built_in_code_is_checked_as_argv_is(example_csv, given, argv):
     with pytest.raises(InputError) as built:
         RunConfig(input=example_csv, **given)
     code, out, err = run_in_process([*argv, "--input", example_csv])
     assert (code, out, err) == (2, "", f"error: {built.value}\n")
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        ({"command": "bogus"}, "unknown command 'bogus'"),
+        ({"output_format": "xml"}, "unknown aggregate output format 'xml'"),
+        ({"output_format": "dot"}, "unknown aggregate output format 'dot'"),
+        ({"zero_policy": "foo"}, "unknown zero policy 'foo'"),
+        ({"method": "median"}, "unknown aggregation method 'median'"),
+        ({"test": "t-test"}, "unknown test 't-test'"),
+        ({"distance": "euclidean"}, "unknown compositional distance 'euclidean'"),
+    ],
+    ids=["command", "format", "dot-format", "zero-policy", "method", "test", "distance"],
+)
+def test_config_field_outside_the_cli_choices_is_rejected(example_csv, given, message):
+    # argparse keeps these faults off argv; a config built in code meets the same rule
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        RunConfig(**{"command": "aggregate", "input": example_csv, **given})
 
 
 @pytest.mark.parametrize(

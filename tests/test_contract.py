@@ -274,3 +274,15 @@ def test_one_coercion_and_one_knob_rule():
             if is_inf_bound(node) and owner.get(node) != "_check_positive":
                 found.append(f"inline infinity bound at {where}")
     assert found == []
+
+
+def test_report_has_one_finiteness_rule():
+    # the commands hand their arrays to the JSON encoder, whose allow_nan=False
+    # is the one check that keeps NaN and infinity out of every format
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{node.lineno} {getattr(node, 'name', 'tolist()')}"
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "tolist")
+             or (isinstance(node, ast.FunctionDef) and node.name == "_finite")]
+    assert found == []

@@ -535,6 +535,12 @@ class TestDrawChunks:
         for mc_samples in (1000, 10_000):
             assert traced_peak(W, mc_samples) <= 2.15e6
 
+    def test_sorted_form_peak_memory_where_bounds_start(self):
+        # K + 1 = 128: a pair block's bucket masses lie outside the draw budget
+        # and set the peak, near 43 MB (README)
+        W = three_group_panel(np.random.default_rng(101), 127, 20)
+        assert traced_peak(W, 1000) <= 45e6
+
     def test_matrix_form_memory_is_flat_in_draws_and_pairs(self):
         # K + 1 = 31: one block of products and one pair tile, whatever S and n
         rng = np.random.default_rng(97)
