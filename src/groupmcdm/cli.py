@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -114,6 +114,12 @@ def load_priorities(path, zero_policy: str = "reject", zero_eps: float = DEFAULT
     return PriorityMatrix(np.array(data), labels), notes
 
 
+#: What a RunConfig field of each declared type takes: the types its JSON echo
+#: carries and replays, an int also where a float is declared
+_ADMITS = {"str": str, "float": (int, float), "int": int, "int | None": (int, type(None)),
+           "bool": bool}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Echoable configuration of one CLI invocation: the one home of the option
@@ -143,13 +149,21 @@ class RunConfig:
     with_baseline: bool = False
 
     def __post_init__(self):
-        # first: a non-positive or NaN eps is named before any other fault
-        if not self.zero_eps > 0:
-            raise InputError("zero replacement eps must be positive")
-        for name, value in asdict(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                option = "zero-policy" if name == "zero_eps" else name.replace("_", "-")
-                raise InputError(f"--{option} must be a finite number, got {value}")
+        # field by field: its type, which argv cannot get wrong (a bool only where
+        # declared), then for the first real field, zero_eps, the eps rule, so that
+        # a non-positive or NaN eps is named before any other argv fault, then
+        # finiteness: NaN, the infinities and ints past the float range
+        for f in fields(self):
+            value = getattr(self, f.name)
+            stray_bool = isinstance(value, bool) != (f.type == "bool")
+            if stray_bool or not isinstance(value, _ADMITS[f.type]):
+                raise InputError(f"{f.name} must be {f.type}, got {type(value).__name__}")
+            if f.name == "zero_eps" and not value > 0:
+                raise InputError("zero replacement eps must be positive")
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
+                option = "zero-policy" if f.name == "zero_eps" else f.name.replace("_", "-")
+                got = value if isinstance(value, float) else "an integer beyond the float range"
+                raise InputError(f"--{option} must be a finite number, got {got}")
         _check_choice(self.command, COMMANDS, "command")
         formats = _FORMATS if self.command == "rank" else _FORMATS[:2]
         _check_choice(self.output_format, formats, f"{self.command} output format")
@@ -263,19 +277,9 @@ def cmd_rank(W: PriorityMatrix, config: RunConfig, notes: list) -> dict:
         prior_a=config.prior_a,
         prior_b=config.prior_b,
     )
-    orderings = []
-    for o in ranking.orderings:
-        orderings.append(
-            {
-                "i": o.i,
-                "j": o.j,
-                "pair": [W.labels[o.i], W.labels[o.j]],
-                "p_greater": o.p_greater,
-                "relation": o.relation,
-                "confidence": o.confidence,
-                "equal_region": o.in_equal_region,
-            }
-        )
+    orderings = [{"i": o.i, "j": o.j, "pair": [W.labels[o.i], W.labels[o.j]],
+                  "p_greater": o.p_greater, "relation": o.relation, "confidence": o.confidence,
+                  "equal_region": o.in_equal_region} for o in ranking.orderings]
     return {
         "test": ranking.test,
         "labels": list(W.labels),

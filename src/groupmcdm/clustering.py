@@ -63,7 +63,6 @@ class ClusterModel:
     distance: str
     inertia: float
     iterations: int
-    seed: int | None
     inertia_trace: tuple[float, ...]
     n_reseeds: int = 0
 
@@ -99,7 +98,7 @@ def _seed_indices(reprs: np.ndarray, o: int, rng, distance: str) -> list[int]:
     return chosen
 
 
-def _lloyd(reprs, centroids, distance, seed, max_iter) -> ClusterModel:
+def _lloyd(reprs, centroids, distance, max_iter) -> ClusterModel:
     K, o = reprs.shape[0], centroids.shape[0]
     # one distance matrix per centroid set: it serves both the objective of
     # the set and the next assignment step
@@ -140,7 +139,6 @@ def _lloyd(reprs, centroids, distance, seed, max_iter) -> ClusterModel:
         distance=distance,
         inertia=trace[-1],
         iterations=iterations,
-        seed=seed,
         inertia_trace=tuple(trace),
         n_reseeds=reseeds,
     )
@@ -172,7 +170,7 @@ def _kmeans(W, o, distance, seed, max_iter, restarts, init_indices) -> ClusterMo
         if start is None:
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(restart,)))
             start = _seed_indices(reprs, o, rng, distance)
-        fit = _lloyd(reprs, reprs[list(start)], distance, seed, max_iter)
+        fit = _lloyd(reprs, reprs[list(start)], distance, max_iter)
         if best is None or fit.inertia < best.inertia:
             best = fit
     if distance == EUCLIDEAN:

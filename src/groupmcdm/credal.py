@@ -24,8 +24,9 @@ relabelling the criteria permutes the ranking exactly. Drawn in blocks of at
 most ``_DRAW_BLOCK`` elements (in the matrix form, of the draws' pairwise
 products; in the sorted form, a quarter as many draws), the stream needs no
 memory growing with S and gives the seeded output of one draw: the blocks
-continue it exactly. The matrix form scores every pair on each block; the
-sorted form plans a block of pairs once and replays the stream for it.
+continue it exactly. ``_bayes_posteriors`` picks the form by K + 1: the matrix
+form, ``_matrix_wins``, scores every pair on each block; the sorted form,
+``_sorted_wins``, plans a block of pairs once and replays the stream for it.
 """
 
 from __future__ import annotations
@@ -150,14 +151,13 @@ class CredalOrdering:
         return lo <= self.p_greater <= hi
 
 
-#: Largest K + 1 scored by the matrix-product form: (K+1)(K+2)/2 multiply-adds
-#: per draw and pair, in BLAS. Above it the sorted form runs: a sort per pair,
-#: bucket bounds from K + 1 = 128, then O(K) prefix sums per draw and pair they
-#: leave open. Which is faster depends on the pair count too, as the matrix form
-#: builds its products once per block for all pairs and fills its GEMMs with up
-#: to _PAIR_TILE pairs: at S = 2000 on one BLAS thread the sorted form wins from
-#: K + 1 = 40 with 3 pairs and near 96 with 45, while with 435 the matrix form is
-#: still 1.2 times faster at 96.
+#: Largest K + 1 scored by the matrix-product form: (K+1)(K+2)/2 multiply-adds per
+#: draw and pair, in BLAS. Above it the sorted form runs: a sort per pair, bucket
+#: bounds from K + 1 = 128, then O(K) prefix sums per draw and pair they leave open.
+#: The pair count matters too: the matrix form builds its products once per block
+#: for all pairs and fills its GEMMs with up to _PAIR_TILE pairs, so at S = 2000 on
+#: one BLAS thread the sorted form wins from K + 1 = 40 with 3 pairs and near 96
+#: with 45, while with 435 the matrix form is still 1.2 times faster at 96.
 _MATRIX_FORM_MAX = 48
 #: Elements per block of the S Dirichlet draws, or in the matrix form of their
 #: products, so memory does not grow with S. The sorted form takes a quarter, held
@@ -171,9 +171,8 @@ _upper = cache(np.triu_indices)
 
 
 def _walsh_weights(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """What the matrix form of ``_walsh_wins`` scores draws g (S, m) on: the
-    (m(m+1)/2, S) products g_a g_b, a <= b, rows in np.triu_indices(m) order,
-    written into the flat ``out`` if given."""
+    """What ``_matrix_wins`` scores draws g (S, m) on: the (m(m+1)/2, S) products
+    g_a g_b, a <= b, rows in np.triu_indices(m) order, into the flat ``out`` if given."""
     S, m = g.shape
     size = m * (m + 1) // 2 * S
     w = (np.empty(size) if out is None else out[:size]).reshape(-1, S)
@@ -196,33 +195,35 @@ def _bucket_bounds(M: np.ndarray, up: np.ndarray, down: np.ndarray) -> tuple:
             np.einsum("pbr,pbr->pr", M, at_up - at_down))
 
 
-def _walsh_wins(V: np.ndarray, w, work: np.ndarray | None = None) -> np.ndarray:
+def _matrix_wins(V: np.ndarray, w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Draws with stat > 0, plus half those with stat = 0, per column of V.
 
     V (K+1, pairs) holds each pair's log-ratios below the pseudo-observation
-    0; w = _walsh_weights(g) for draws g (S, K+1) in the matrix form, and in
-    the sorted form any iterable of blocks of draws g.
-    stat = sum_{a<=b} g_a g_b sign(v_a + v_b).
-    The matrix form signs all pairs at once and scores them in one product
-    with w, in ``work``: (2, max(m(m+1)/2, S) * pairs) scratch that calls
-    share, as fresh megabyte temporaries would fault pages in anew. The
-    sorted form plans each pair once, then scores every block on the plans.
-    Counting exact zeros as one half maps all-equal data to S/2, makes the
+    0, w = _walsh_weights(g) the products of draws g (S, K+1), and
+    stat = sum_{a<=b} g_a g_b sign(v_a + v_b). All pairs are signed at once and
+    scored in one product with w, in ``work``: (2, max(m(m+1)/2, S) * pairs)
+    scratch that calls share, as fresh megabyte temporaries would fault pages in
+    anew. Counting exact zeros as one half maps all-equal data to S/2, makes the
     counts of V and -V sum to exactly S, and makes counts add exactly over
     blocks of draws.
     """
     m, c = V.shape
-    if m <= _MATRIX_FORM_MAX:
-        (a, b), S = _upper(m), w.shape[1]
-        one, two = np.empty((2, max(a.size, S) * c)) if work is None else work
-        lo, hi = (f[:a.size * c].reshape(-1, c) for f in (one, two))
-        np.take(V, a, axis=0, out=lo, mode="clip")
-        np.take(V, b, axis=0, out=hi, mode="clip")
-        # a sign written in place runs many times slower: each goes to the other array
-        signs = np.sign(np.add(lo, hi, out=lo), out=hi)
-        stat = np.matmul(signs.T, w, out=one[:c * S].reshape(c, S))
-        # (stat > 0) + (stat = 0) / 2 = (1 + sign(stat)) / 2, summed exactly
-        return 0.5 * (S + np.sign(stat, out=two[:c * S].reshape(c, S)).sum(axis=1))
+    (a, b), S = _upper(m), w.shape[1]
+    one, two = np.empty((2, max(a.size, S) * c)) if work is None else work
+    lo, hi = (f[:a.size * c].reshape(-1, c) for f in (one, two))
+    np.take(V, a, axis=0, out=lo, mode="clip")
+    np.take(V, b, axis=0, out=hi, mode="clip")
+    # a sign written in place runs many times slower: each goes to the other array
+    signs = np.sign(np.add(lo, hi, out=lo), out=hi)
+    stat = np.matmul(signs.T, w, out=one[:c * S].reshape(c, S))
+    # (stat > 0) + (stat = 0) / 2 = (1 + sign(stat)) / 2, summed exactly
+    return 0.5 * (S + np.sign(stat, out=two[:c * S].reshape(c, S)).sum(axis=1))
+
+
+def _sorted_wins(V: np.ndarray, blocks) -> np.ndarray:
+    """``_matrix_wins`` of V, summed over ``blocks``, any iterable of (S, K+1)
+    draws g: each pair is planned once, then every block is scored on the plans."""
+    m, c = V.shape
     wins, B = np.zeros(c), min(m, 32)
     # Bounds decide most draws first. Cut sorted v into B <= 32 equal-count
     # buckets [lo_I, hi_I] of g-mass M_I: bucket I meets buckets J >= up_I
@@ -257,7 +258,7 @@ def _walsh_wins(V: np.ndarray, w, work: np.ndarray | None = None) -> np.ndarray:
         upto[order[::-1]] = np.searchsorted(ordered, -ordered[::-1], side="right")
         plans.append(((order, below, upto, np.sign(v)), len(pads) - 1 if bounded else None))
     pads, ends = np.array(pads), np.array(ends)
-    for g in w:
+    for g in blocks:
         if len(pads):
             # masses of all bounded pairs from whole rows of the block transposed
             gt = np.zeros((m + 1, len(g)))
@@ -279,7 +280,7 @@ def _walsh_wins(V: np.ndarray, w, work: np.ndarray | None = None) -> np.ndarray:
 
 
 def _prefix_wins(rows: np.ndarray, order, below, upto, sign) -> float:
-    """``_walsh_wins`` of draws ``rows`` on one pair, exactly: twice stat, as
+    """``_sorted_wins`` of draws ``rows`` on one pair, exactly: twice stat, as
     each a weighs the g-mass above -v_a minus the mass below it, read off
     prefix sums of g in ``order``, the ascending order of v, at ``upto`` and
     ``below``, the count of v at most and below -v_a; ``sign`` is sign(v)."""
@@ -332,8 +333,7 @@ def _bayes_posteriors(values: np.ndarray, mc_samples: int, seed,
         # each pair block, whose plans take about 5 PAIR_BLOCK elements, is
         # planned once and scores the whole stream, replayed from its seed
         rows = max(1, _DRAW_BLOCK // (4 * m))
-        return pair_statistic(x, lambda V, _: _walsh_wins(V, draws(rows)),
-                              block_width(m)) / mc_samples
+        return pair_statistic(x, lambda V, _: _sorted_wins(V, draws(rows))) / mc_samples
     # each block's products are made once and every pair tile is scored on
     # them; the products and one tile's stats each fit in _DRAW_BLOCK
     width = min(_PAIR_TILE, values.shape[1] * (values.shape[1] - 1) // 2)
@@ -343,7 +343,7 @@ def _bayes_posteriors(values: np.ndarray, mc_samples: int, seed,
     for g in draws(rows):
         w = _walsh_weights(g, block)
         del g  # freed before the next block is drawn
-        wins += pair_statistic(x, lambda V, _: _walsh_wins(V, w, work), width)
+        wins += pair_statistic(x, lambda V, _: _matrix_wins(V, w, work), width)
     return wins / mc_samples
 
 
@@ -414,7 +414,6 @@ class CredalRanking:
 
     orderings: tuple[CredalOrdering, ...]
     test: str
-    labels: tuple[str, ...] | None = None
     mc_samples: int | None = None
     seed: int | None = None
 
@@ -456,7 +455,6 @@ def credal_ranking(
         orderings=tuple(CredalOrdering(i=a, j=b, p_greater=q, test=test)
                         for a, b, q in zip(i.tolist(), j.tolist(), p.tolist())),
         test=test,
-        labels=W.labels,
         mc_samples=mc_samples if test == BAYES_WILCOXON else None,
         seed=seed if test == BAYES_WILCOXON else None,
     )

@@ -38,7 +38,6 @@ class AverageDeviationArray:
     xi: np.ndarray
     tau: np.ndarray
     estimator: str
-    labels: tuple[str, ...] | None = None
 
     @property
     def combined(self) -> np.ndarray:
@@ -100,4 +99,4 @@ def average_deviation_array(
         lam = _converged(aggregate_awgmm(W, awgmm_options)).dm_weights
         xi = build_average_array(W, WEIGHTED, dm_weights=lam)
         tau = deviation_array_robust(W, lam)
-    return AverageDeviationArray(xi=xi, tau=tau, estimator=estimator, labels=W.labels)
+    return AverageDeviationArray(xi=xi, tau=tau, estimator=estimator)

@@ -811,6 +811,38 @@ def test_config_field_outside_the_cli_choices_is_rejected(example_csv, given, me
 
 
 @pytest.mark.parametrize(
+    "given, message",
+    [
+        ({"input": 0}, "input must be str, got int"),
+        ({"input": Path("a.csv")}, f"input must be str, got {type(Path('a.csv')).__name__}"),
+        ({"zero_eps": "1e-6"}, "zero_eps must be float, got str"),
+        ({"deviant_threshold": "0.5"}, "deviant_threshold must be float, got str"),
+        ({"tol": True}, "tol must be float, got bool"),
+        ({"seed": "1"}, "seed must be int | None, got str"),
+        ({"max_iter": 2.5}, "max_iter must be int, got float"),
+        ({"mc_samples": "1000"}, "mc_samples must be int, got str"),
+        ({"with_baseline": "yes"}, "with_baseline must be bool, got str"),
+        ({"command": 10**5000}, "command must be str, got int"),
+        ({"zero_eps": 10**400},
+         "--zero-policy must be a finite number, got an integer beyond the float range"),
+        ({"prior_a": -10**400},
+         "--prior-a must be a finite number, got an integer beyond the float range"),
+    ],
+    ids=["str-fd", "str-path", "float-eps", "float-threshold", "float-bool", "seed", "int",
+         "int-str", "bool", "str-long-int", "int-past-float-eps", "int-past-float-prior"],
+)
+def test_config_field_of_the_wrong_type_is_rejected(example_csv, given, message):
+    # checked before any comparison or file access, so nothing escapes as TypeError
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        RunConfig(**{"command": "aggregate", "input": example_csv, **given})
+
+
+def test_config_takes_an_int_where_a_float_is_declared(example_csv):
+    config = RunConfig("aggregate", example_csv, zero_eps=1, tol=1, deviant_threshold=0)
+    assert json.loads(report_of(config).to_json())["config"]["tol"] == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["aggregate", "--method", "awgmm", "--max-iter", "700", "--tol", "1e-9"],

@@ -112,6 +112,15 @@ class TestClose:
         with pytest.raises(ValueError):
             c.parts[0] = 0.5
 
+    def test_len_and_array_copy(self):
+        c = close([1, 3])
+        assert len(c) == 2
+        a = np.asarray(c, dtype=np.float32)
+        assert a.dtype == np.float32 and a.flags.writeable
+        a[0] = 1.0
+        np.testing.assert_array_equal(c.parts, [0.25, 0.75])
+        np.testing.assert_array_equal(np.asarray(c), c.parts)
+
     def test_labels(self):
         c = close([1, 3], labels=("a", "b"))
         assert c.labels == ("a", "b")
@@ -498,6 +507,11 @@ class TestPriorityMatrix:
             with pytest.raises(ValueError):
                 got[:] = 0
         assert pair_indices(n)[0] is i
+
+    def test_no_rows_rejected(self):
+        # a typed error, and no numpy warning from closing the empty rows
+        with pytest.raises(DimensionMismatch, match="^need at least one decision-maker row$"):
+            PriorityMatrix(np.empty((0, 3)))
 
     def test_zero_row_entry_rejected(self):
         with pytest.raises(NonPositiveEntry):

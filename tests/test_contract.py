@@ -286,3 +286,15 @@ def test_report_has_one_finiteness_rule():
                  and node.func.attr == "tolist")
              or (isinstance(node, ast.FunctionDef) and node.name == "_finite")]
     assert found == []
+
+
+def test_bayesian_rank_chooses_its_form_in_one_place():
+    # one kernel per form, each called by name from the one function that picks it
+    tree = ast.parse((SRC / "credal.py").read_text(encoding="utf-8"))
+    owner = owners(tree)
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    readers = sorted({owner.get(node) for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and node.id == "_MATRIX_FORM_MAX"
+                      and isinstance(node.ctx, ast.Load)})
+    assert "_walsh_wins" not in defined and {"_matrix_wins", "_sorted_wins"} <= defined
+    assert readers == ["_bayes_posteriors"]

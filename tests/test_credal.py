@@ -304,12 +304,6 @@ def sign_sum_posterior(V, g):
     return np.array(out)
 
 
-def walsh_weights(g):
-    """What ``_walsh_wins`` scores draws g on: their products in the matrix
-    form, the one block g in the sorted form."""
-    return credal._walsh_weights(g) if g.shape[1] <= credal._MATRIX_FORM_MAX else [g]
-
-
 def tied_log_ratios(rng, n_dms, n_pairs):
     """(K+1, pairs) augmented log-ratios with zeros and exact v_a = -v_b ties."""
     V = np.zeros((n_dms + 1, n_pairs))
@@ -363,20 +357,20 @@ class TestWalshKernel:
         rng = np.random.default_rng(70 + n_dms)
         V = tied_log_ratios(rng, n_dms, 5)
         g = rng.dirichlet(np.r_[0.7, np.ones(n_dms)], size=1000)
-        np.testing.assert_array_equal(
-            credal._walsh_wins(V, walsh_weights(g)) / len(g), sign_sum_posterior(V, g)
-        )
+        # each size runs the form the ranking runs at its K + 1
+        if n_dms + 1 <= credal._MATRIX_FORM_MAX:
+            wins = credal._matrix_wins(V, credal._walsh_weights(g))
+        else:
+            wins = credal._sorted_wins(V, [g])
+        np.testing.assert_array_equal(wins / len(g), sign_sum_posterior(V, g))
 
     @pytest.mark.parametrize("n_dms", [2, 5, 30, 70])
-    def test_both_forms_agree(self, monkeypatch, n_dms):
+    def test_both_forms_agree(self, n_dms):
         rng = np.random.default_rng(80 + n_dms)
         V = tied_log_ratios(rng, n_dms, 40)
         g = rng.dirichlet(np.ones(n_dms + 1), size=1000)
-        forms = []
-        for largest in (n_dms + 1, 0):  # matrix-product form, then sorted form
-            monkeypatch.setattr(credal, "_MATRIX_FORM_MAX", largest)
-            forms.append(credal._walsh_wins(V, walsh_weights(g)) / len(g))
-        np.testing.assert_array_equal(forms[0], forms[1])
+        np.testing.assert_array_equal(credal._matrix_wins(V, credal._walsh_weights(g)) / len(g),
+                                      credal._sorted_wins(V, [g]) / len(g))
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -387,9 +381,7 @@ class TestWalshKernel:
         rng = np.random.default_rng(seed)
         V = np.hstack((tied_log_ratios(rng, m - 1, 3), leaning_log_ratios(rng, m - 1, 5)))
         g = rng.dirichlet(np.r_[prior_weight, np.ones(m - 1)], size=300)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(credal, "_MATRIX_FORM_MAX", 0)  # the sorted form at every m
-            wins = credal._walsh_wins(V, walsh_weights(g))
+        wins = credal._sorted_wins(V, [g])  # the sorted form at every m
         np.testing.assert_array_equal(wins / len(g), sign_sum_posterior(V, g))
 
     @settings(max_examples=60, deadline=None)
@@ -419,7 +411,7 @@ class TestWalshKernel:
     def test_all_zero_pair_takes_the_prefix_sums(self, monkeypatch):
         g = np.random.default_rng(102).dirichlet(np.ones(1001), size=200)
         rows = prefix_sum_rows(monkeypatch)
-        assert credal._walsh_wins(np.zeros((1001, 1)), walsh_weights(g))[0] == 100.0
+        assert credal._sorted_wins(np.zeros((1001, 1)), [g])[0] == 100.0
         assert sum(rows) == 200
 
     def test_sorted_form_sorts_each_pair_once(self, monkeypatch):
@@ -432,12 +424,14 @@ class TestWalshKernel:
 
     def test_mirror_is_exact_complement(self):
         rng = np.random.default_rng(90)
-        for n_dms in (4, 200):
+        for n_dms in (4, 200):  # the matrix form, then the sorted form
             V = tied_log_ratios(rng, n_dms, 20)
             g = rng.dirichlet(np.ones(n_dms + 1), size=1000)
-            w = walsh_weights(g)
-            p = credal._walsh_wins(V, w) / len(g)
-            q = credal._walsh_wins(-V, w) / len(g)
+            if n_dms == 4:
+                w = credal._walsh_weights(g)
+                p, q = (credal._matrix_wins(U, w) / len(g) for U in (V, -V))
+            else:
+                p, q = (credal._sorted_wins(U, [g]) / len(g) for U in (V, -V))
             assert np.all(p + q == 1.0)
             assert p[0] == 0.5
 
